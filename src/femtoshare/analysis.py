@@ -152,13 +152,14 @@ class BoundContext:
         )
 
 
-def _macro_only_threshold(ctx: BoundContext, d):
+def _macro_only_threshold(ctx: BoundContext, d, p_serving_mw):
     """Channel-ratio level below which macro interference alone causes
-    a femto outage at range ``d``, for the worst-case cell-edge UE."""
+    a femto outage at range ``d`` and serving power ``p_serving_mw``, for
+    the worst-case cell-edge UE."""
     p = ctx.params
     num = ctx.p_m_mw * p.g_m * ctx.links.serving_fap_to_indoor.phi \
         * p.r_f**p.alpha_f * p.gamma_f
-    den = ctx.p_serving_mw * p.g_f * ctx.links.macro_to_indoor.phi * d**p.alpha_fm
+    den = p_serving_mw * p.g_f * ctx.links.macro_to_indoor.phi * d**p.alpha_fm
     return num / den
 
 
@@ -171,15 +172,14 @@ def femto_outage_macro_only(ctx: BoundContext, d):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    out = ctx.ratio_dist.cdf(_macro_only_threshold(ctx, d))
+    out = ctx.ratio_dist.cdf(_macro_only_threshold(ctx, d, ctx.p_serving_mw))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _power_floor_macro_only_dbm(
-    params: NetworkParams, links: LinkSet, d: float, eps: float
-) -> float:
+def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet, d, eps: float):
     """Per-subcarrier serving power making the macro-only femto outage
-    equal ``eps`` at range ``d`` (closed form)."""
+    equal ``eps`` at range ``d`` (closed form); elementwise over an array
+    ``d``."""
     if not (0 < eps < 1):
         raise ValueError("outage target must lie in (0, 1)")
     comp_serving = composite_fading_shadowing(
@@ -193,69 +193,74 @@ def _power_floor_macro_only_dbm(
         * params.r_f**params.alpha_f * params.gamma_f
     den = params.g_f * links.macro_to_indoor.phi * d**params.alpha_fm \
         * ratio.quantile(eps)
-    return float(mw_to_dbm(num / den))
+    out = mw_to_dbm(num / den)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def dominant_interferer_rate_fue(ctx: BoundContext) -> float:
+def _dominant_interferer_rate(ctx: BoundContext, link, comp: LognormalDist,
+                              gamma: float) -> float:
     """Spatial coefficient of the expected dominant-interferer count seen
-    by an indoor femto UE: multiply by the FAP intensity and the power
+    by a UE over interfering ``link`` with composite channel ``comp`` and
+    SIR target ``gamma``: multiply by the FAP intensity and the power
     margin raised to -2/alpha to get a mean count."""
     p = ctx.params
-    a = p.alpha_ff
-    if a <= 2:
-        raise ValueError("alpha_ff must exceed 2")
+    a = link.alpha
     pw = ctx.fap_power
-    comp = ctx.comp_fap_indoor
-    geo = (p.g_f * p.g_u * p.gamma_f / ctx.links.interfering_fap_to_indoor.phi) ** (2.0 / a)
+    geo = (p.g_f * p.g_u * gamma / link.phi) ** (2.0 / a)
     moment = math.exp(2.0 * (comp.loc + pw.loc) / a
                       + 2.0 * (comp.scale**2 + pw.scale**2) / a**2)
     return math.pi * geo * moment
+
+
+def dominant_interferer_rate_fue(ctx: BoundContext) -> float:
+    """Dominant-interferer coefficient for an indoor femto UE."""
+    return _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
+                                     ctx.comp_fap_indoor, ctx.params.gamma_f)
 
 
 def dominant_interferer_rate_mue(ctx: BoundContext) -> float:
     """Same coefficient for an outdoor macro UE."""
-    p = ctx.params
-    a = p.alpha_mf
-    if a <= 2:
-        raise ValueError("alpha_mf must exceed 2")
-    pw = ctx.fap_power
-    comp = ctx.comp_fap_outdoor
-    geo = (p.g_f * p.g_u * p.gamma_m / ctx.links.fap_to_outdoor.phi) ** (2.0 / a)
-    moment = math.exp(2.0 * (comp.loc + pw.loc) / a
-                      + 2.0 * (comp.scale**2 + pw.scale**2) / a**2)
-    return math.pi * geo * moment
+    return _dominant_interferer_rate(ctx, ctx.links.fap_to_outdoor,
+                                     ctx.comp_fap_outdoor, ctx.params.gamma_m)
 
 
-def _signal_ln_loc(ctx: BoundContext) -> float:
-    """Natural-log location of the received femto signal power (mW)."""
+def _signal_ln_loc(ctx: BoundContext, p_serving_mw=None):
+    """Natural-log location of the received femto signal power (mW); the
+    serving power defaults to the context's."""
     p = ctx.params
     link = ctx.links.serving_fap_to_indoor
-    return ctx.comp_serving.loc + math.log(
-        ctx.p_serving_mw * p.g_f * p.g_u / (link.phi * p.r_f**p.alpha_f))
+    if p_serving_mw is None:
+        p_serving_mw = ctx.p_serving_mw
+    return ctx.comp_serving.loc + np.log(
+        p_serving_mw * p.g_f * p.g_u / (link.phi * p.r_f**p.alpha_f))
 
 
-def _macro_interf_ln_loc(ctx: BoundContext, d: float) -> float:
+def _macro_interf_ln_loc(ctx: BoundContext, d):
     """Natural-log location of the received macro interference power (mW)
     at range ``d``."""
     p = ctx.params
     link = ctx.links.macro_to_indoor
-    return ctx.comp_macro_indoor.loc + math.log(
+    return ctx.comp_macro_indoor.loc + np.log(
         ctx.p_m_mw * p.g_m * p.g_u / (link.phi * d**p.alpha_fm))
 
 
-def _femto_composite_term(ctx: BoundContext, d: float, lambda_f: float) -> float:
-    """Double quadrature sum for the femto-plus-macro interference term.
+def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
+    """Double quadrature sum for the femto-plus-macro interference term,
+    one value per (distance, serving power in mW) pair of the broadcast
+    arrays ``d`` and ``p_serving_mw``.
 
     Evaluated in log space; where the quadrature node puts the signal
     sample at or below the macro-interference threshold the bracketed
     void-probability factor is taken as 1 (its limit from above).
     """
+    d, p_serving_mw = np.broadcast_arrays(d, p_serving_mw)
     if lambda_f == 0.0:
-        return 0.0
+        return np.zeros(d.shape)
     p = ctx.params
-    mu_s = _signal_ln_loc(ctx)
+    # axes (..., Laguerre node, Hermite node)
+    mu_s = _signal_ln_loc(ctx, p_serving_mw)[..., None, None]
     sc_s = ctx.comp_serving.scale
-    mu_i = _macro_interf_ln_loc(ctx, d)
+    mu_i = _macro_interf_ln_loc(ctx, d)[..., None, None]
     sc_i = ctx.comp_macro_indoor.scale
     ln_gamma = math.log(p.gamma_f)
     rate = dominant_interferer_rate_fue(ctx) * lambda_f
@@ -268,7 +273,7 @@ def _femto_composite_term(ctx: BoundContext, d: float, lambda_f: float) -> float
     ln_z = math.sqrt(2.0) * sc_i * b_m + mu_i + ln_gamma
     chi = (ln_z - mu_s) ** 2 / (2.0 * sc_s**2)
     ln_w = mu_s + np.sqrt(2.0 * a_n + 2.0 * chi) * sc_s
-    diff = np.broadcast_to(ln_z, ln_w.shape) - ln_w
+    diff = ln_z - ln_w
     signal_above = diff < 0.0
     # log(signal - threshold), defined only where the base is positive
     ln_base = np.where(signal_above,
@@ -277,7 +282,15 @@ def _femto_composite_term(ctx: BoundContext, d: float, lambda_f: float) -> float
     exponent = np.minimum(math.log(rate) - (2.0 / p.alpha_ff) * ln_base, _EXP_CAP)
     bracket = np.where(signal_above, -np.expm1(-np.exp(exponent)), 1.0)
     dens = np.exp(-chi) / (2.0 * math.pi * np.sqrt(a_n + chi))
-    return float(np.sum(w_n * v_m * bracket * dens))
+    return np.sum(w_n * v_m * bracket * dens, axis=(-2, -1))
+
+
+def _femto_bound(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
+    """Macro-only term, composite term, and their sum clamped to 1, for
+    the broadcast arrays of distances and serving powers (mW)."""
+    p_macro = ctx.ratio_dist.cdf(_macro_only_threshold(ctx, d, p_serving_mw))
+    p_comp = _femto_composite_term(ctx, d, p_serving_mw, lambda_f)
+    return p_macro, p_comp, np.minimum(p_macro + p_comp, 1.0)
 
 
 def femto_outage_lower_bound(ctx: BoundContext, d, lambda_f: float | None = None):
@@ -293,12 +306,32 @@ def femto_outage_lower_bound(ctx: BoundContext, d, lambda_f: float | None = None
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d_arr <= 0):
         raise ValueError("distance must be positive")
-    p_macro = np.asarray(femto_outage_macro_only(ctx, d_arr), dtype=float)
-    p_comp = np.array([_femto_composite_term(ctx, di, lambda_f) for di in d_arr])
-    p_total = np.minimum(p_macro + p_comp, 1.0)
+    p_macro, p_comp, p_total = _femto_bound(ctx, d_arr, ctx.p_serving_mw, lambda_f)
     if np.ndim(d) == 0:
         return FemtoOutageBreakdown(float(p_macro[0]), float(p_comp[0]), float(p_total[0]))
     return FemtoOutageBreakdown(p_macro, p_comp, p_total)
+
+
+def _macro_bound(ctx: BoundContext, d, power_loc, power_scale, lambda_eff: float):
+    """Macro outage bound for broadcast arrays of distances and of the
+    natural-log location and scale of the interfering-power lognormal."""
+    p = ctx.params
+    a = p.alpha_mf
+    b_m = ctx.hermite.nodes
+    v_m = ctx.hermite.weights
+    comp_out = ctx.comp_fap_outdoor
+    comp_sig = ctx.comp_macro_outdoor
+    geo = (p.g_f * ctx.links.macro_to_outdoor.phi * p.gamma_m
+           / (p.g_m * ctx.links.fap_to_outdoor.phi)) ** (2.0 / a)
+    b_tilde = math.pi * geo * np.exp(
+        2.0 * (comp_out.loc - comp_sig.loc - math.sqrt(2.0) * comp_sig.scale * b_m) / a
+        + 2.0 * comp_out.scale**2 / a**2)
+    power_factor = np.exp(2.0 * power_loc / a + 2.0 * power_scale**2 / a**2)
+    dist_factor = (d ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
+    ln_void = -np.minimum(
+        b_tilde * lambda_eff * power_factor[..., None] * dist_factor[..., None], _EXP_CAP)
+    out = 1.0 - np.sum(v_m / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
+    return np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
 
 
 def macro_outage_lower_bound(ctx: BoundContext, d, lambda_eff: float | None = None):
@@ -317,20 +350,5 @@ def macro_outage_lower_bound(ctx: BoundContext, d, lambda_eff: float | None = No
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    a = p.alpha_mf
-    b_m = ctx.hermite.nodes
-    v_m = ctx.hermite.weights
-    comp_out = ctx.comp_fap_outdoor
-    comp_sig = ctx.comp_macro_outdoor
-    geo = (p.g_f * ctx.links.macro_to_outdoor.phi * p.gamma_m
-           / (p.g_m * ctx.links.fap_to_outdoor.phi)) ** (2.0 / a)
-    b_tilde = math.pi * geo * np.exp(
-        2.0 * (comp_out.loc - comp_sig.loc - math.sqrt(2.0) * comp_sig.scale * b_m) / a
-        + 2.0 * comp_out.scale**2 / a**2)
-    power_factor = math.exp(2.0 * ctx.fap_power.loc / a
-                            + 2.0 * ctx.fap_power.scale**2 / a**2)
-    dist_factor = (d[..., None] ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
-    ln_void = -np.minimum(b_tilde * lambda_eff * power_factor * dist_factor, _EXP_CAP)
-    out = 1.0 - np.sum(v_m / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
-    out = np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
+    out = _macro_bound(ctx, d, ctx.fap_power.loc, ctx.fap_power.scale, lambda_eff)
     return float(out) if out.ndim == 0 else out

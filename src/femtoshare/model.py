@@ -212,9 +212,15 @@ def fap_power_distribution(p_min_dbm: float, p_max_dbm: float) -> LognormalDist:
     """
     if p_min_dbm > p_max_dbm:
         raise ValueError("p_min_dbm must not exceed p_max_dbm")
+    return LognormalDist(*_fap_power_ln(p_min_dbm, p_max_dbm))
+
+
+def _fap_power_ln(p_min_dbm, p_max_dbm):
+    """Natural-log location and scale of :func:`fap_power_distribution`,
+    elementwise over arrays of power ranges."""
     mu_dbm = 0.5 * (p_min_dbm + p_max_dbm)
     sigma_db = (p_max_dbm - p_min_dbm) / 6.0
-    return LognormalDist.from_dbm(mu_dbm, sigma_db)
+    return DB_TO_LN * mu_dbm, DB_TO_LN * sigma_db
 
 
 @dataclass(frozen=True)

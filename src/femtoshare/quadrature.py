@@ -37,11 +37,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def total_weight(self) -> float:
-        """Integral of the weight function: 1 for Laguerre, sqrt(pi) for Hermite."""
-        return 1.0 if self.kind is Kind.LAGUERRE else math.sqrt(math.pi)
-
 
 def _orthonormal_values(diag, off, mu0, x):
     """Orthonormal-polynomial values p_0..p_{n-1} and the degree-n pair

@@ -16,15 +16,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
+from scipy.optimize import brentq
 
-from .analysis import (
+from .analysis import (  # the public bounds stay importable from this module
     BoundContext,
+    _femto_bound,
+    _macro_bound,
     _power_floor_macro_only_dbm,
-    femto_outage_lower_bound,
-    macro_outage_lower_bound,
+    femto_outage_lower_bound,  # noqa: F401
+    macro_outage_lower_bound,  # noqa: F401
 )
-from .model import DB_TO_LN
+from .model import DB_TO_LN, _fap_power_ln, dbm_to_mw
 
 __all__ = [
     "InfeasibleError",
@@ -42,9 +44,16 @@ __all__ = [
 ]
 
 # Bisection tolerance in dB; far tighter than the 1e-3 dB the regulation
-# round-trip properties require.
+# round-trip properties require.  The relative term is scipy's default.
 _XTOL_DB = 1e-9
+_RTOL = 4.0 * np.finfo(float).eps
 _MAXITER = 200
+# Tolerance of the window-to-thinned onset distance, in meters.
+_ONSET_XTOL_M = 1e-6
+# Distances per femto-bound evaluation in the floor solve.  The bound holds
+# about eight (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but
+# 1.8 MB for a whole 192-point grid, which would raise peak memory.
+_FLOOR_BLOCK = 32
 
 # Default back-off above the window's power floor.  The floor is calibrated
 # against a lower bound of the femto outage, so transmitting exactly at it
@@ -75,6 +84,30 @@ class RegulationDecision:
     tx_power_dbm: float
 
 
+def _bisect(excess, lo, hi):
+    """Roots of ``excess`` in the brackets ``[lo[i], hi[i]]``, bisected in
+    lockstep with the steps and stopping rule of ``scipy.optimize.bisect``.
+    ``excess(x, idx)`` evaluates entries ``idx`` at ``x``; it must be
+    non-increasing and non-negative at ``lo``."""
+    x = np.array(np.broadcast_arrays(lo, hi)[0], dtype=float)
+    step = hi - x
+    root = np.empty_like(x)
+    idx = np.arange(x.size)
+    for _ in range(_MAXITER):
+        if not idx.size:
+            return root
+        step[idx] *= 0.5
+        mid = x[idx] + step[idx]
+        f = excess(mid, idx)
+        x[idx] = np.where(f >= 0.0, mid, x[idx])
+        done = (f == 0.0) | (np.abs(step[idx]) < _XTOL_DB + _RTOL * np.abs(mid))
+        root[idx[done]] = mid[done]
+        idx = idx[~done]
+    if idx.size:
+        raise RuntimeError(f"bisection did not converge in {_MAXITER} steps")
+    return root
+
+
 def min_serving_power_dbm(ctx: BoundContext) -> float:
     """Smallest per-subcarrier power letting a cell-edge femtocell meet its
     outage constraint against macro interference alone."""
@@ -86,8 +119,6 @@ def min_deployment_distance(ctx: BoundContext) -> float:
     """Closest admissible femtocell distance from the MBS: nearer than
     this, even the capped power misses the femto outage constraint."""
     p = ctx.params
-    if p.p_f_max_total_dbm is None or not math.isfinite(p.p_f_max_total_dbm):
-        raise ValueError("power cap must be finite")
     # Invert the macro-only outage in distance at the power cap.
     floor_at_rm = _power_floor_macro_only_dbm(p, ctx.links, p.r_m, p.eps_f)
     cap = p.p_f_max_subcarrier_dbm
@@ -106,6 +137,29 @@ def power_floor_approx_dbm(ctx: BoundContext, d: float) -> float:
     return _power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f)
 
 
+def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
+    """Exact power floors over an array of distances, and the mask of the
+    distances where the floor lies at or below the per-subcarrier cap.
+    Elsewhere the floor reads the cap."""
+    p = ctx.params
+    cap = p.p_f_max_subcarrier_dbm
+
+    def excess(p_dbm, idx):
+        p_mw = dbm_to_mw(p_dbm)
+        out = np.empty(idx.size)
+        for s in range(0, idx.size, _FLOOR_BLOCK):
+            blk = slice(s, s + _FLOOR_BLOCK)
+            out[blk] = _femto_bound(ctx, d[idx[blk]], p_mw[blk], p.lambda_f)[2]
+        return out - p.eps_f
+
+    lo = _power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f)   # excess >= 0 by construction
+    feasible = excess(np.full(d.shape, cap), np.arange(d.size)) <= 0.0
+    floor = np.full(d.shape, cap)
+    solve = np.flatnonzero(feasible & (lo < cap))
+    floor[solve] = _bisect(lambda x, i: excess(x, solve[i]), lo[solve], cap)
+    return floor, feasible
+
+
 def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     """Power floor from the full femto outage lower bound (macro plus
     femto interference), found by bracketed bisection in dBm.
@@ -113,26 +167,41 @@ def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     Raises :class:`InfeasibleError` when no root lies at or below the
     per-subcarrier power cap.
     """
-    p = ctx.params
-    cap = p.p_f_max_subcarrier_dbm
-
-    def excess(p_dbm: float) -> float:
-        probe = ctx.with_serving_power_dbm(p_dbm)
-        return femto_outage_lower_bound(probe, d).p_total_lb - p.eps_f
-
-    lo = power_floor_approx_dbm(ctx, d)   # excess >= 0 here by construction
-    if excess(cap) > 0.0:
+    if d <= 0:
+        raise ValueError("distance must be positive")
+    floor, feasible = _floor_exact_dbm(ctx, np.array([float(d)]))
+    if not feasible[0]:
         raise InfeasibleError(
             f"femto outage constraint unreachable at d={d:.1f} m within the power cap")
-    if lo >= cap:
-        return cap
-    return bisect(excess, lo, cap, xtol=_XTOL_DB, maxiter=_MAXITER)
+    return float(floor[0])
 
 
-def _ceiling_branch_floor_dbm(ctx: BoundContext, min_dbm: float) -> float:
-    """Left end of the max-power branch on which the macro bound increases
-    with the power ceiling (the variance term dominates further down)."""
-    return min_dbm - 9.0 * ctx.params.alpha_mf / DB_TO_LN
+def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, min_dbm: float):
+    """Power ceilings over an array of distances for interferer powers
+    spread up from ``min_dbm``, and the mask of the distances where some
+    ceiling on the admissible branch meets the macro constraint.
+    Elsewhere the ceiling reads NaN."""
+    p = ctx.params
+
+    def deficit(max_dbm, idx):   # non-increasing in the ceiling
+        loc, scale = _fap_power_ln(np.minimum(min_dbm, max_dbm), np.maximum(min_dbm, max_dbm))
+        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale, lambda_f)
+
+    # left end of the branch on which the macro bound increases with the
+    # ceiling (the variance term dominates further down)
+    lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
+    feasible = deficit(np.full(d.shape, lo), slice(None)) >= 0.0
+    hi = np.full(d.shape, max(min_dbm, p.p_f_max_subcarrier_dbm) + 60.0)
+    grow = np.flatnonzero(feasible)
+    while grow.size:
+        grow = grow[deficit(hi[grow], grow) > 0.0]
+        hi[grow] += 60.0
+        feasible[grow[hi[grow] > 1000.0]] = False   # the bound saturates below eps_m
+        grow = grow[hi[grow] <= 1000.0]
+    ceiling = np.full(d.shape, np.nan)
+    solve = np.flatnonzero(feasible)
+    ceiling[solve] = _bisect(lambda x, i: deficit(x, solve[i]), lo, hi[solve])
+    return ceiling, feasible
 
 
 def power_ceiling_dbm(ctx: BoundContext, d: float, lambda_f: float | None = None) -> float:
@@ -152,23 +221,12 @@ def power_ceiling_dbm(ctx: BoundContext, d: float, lambda_f: float | None = None
         lambda_f = p.lambda_f
     if lambda_f <= 0:
         raise ValueError("lambda_f must be positive")
-    min_dbm = min_serving_power_dbm(ctx)
-
-    def excess(max_dbm: float) -> float:
-        lo, hi = sorted((min_dbm, max_dbm))
-        probe = ctx.with_interferer_power(lo, hi)
-        return macro_outage_lower_bound(probe, d, lambda_eff=lambda_f) - p.eps_m
-
-    lo = _ceiling_branch_floor_dbm(ctx, min_dbm) + 1e-6
-    if excess(lo) > 0.0:
+    ceiling, feasible = _ceiling_dbm(
+        ctx, np.array([float(d)]), lambda_f, min_serving_power_dbm(ctx))
+    if not feasible[0]:
         raise InfeasibleError(
             f"macro outage constraint unreachable at d={d:.1f} m for any power ceiling")
-    hi = max(min_dbm, p.p_f_max_subcarrier_dbm) + 60.0
-    while excess(hi) < 0.0:
-        hi += 60.0
-        if hi > 1000.0:
-            raise InfeasibleError("macro outage bound saturates below the constraint")
-    return bisect(excess, lo, hi, xtol=_XTOL_DB, maxiter=_MAXITER)
+    return float(ceiling[0])
 
 
 def rb_access_probability(ctx: BoundContext, lambda_f: float | None = None) -> float:
@@ -198,6 +256,45 @@ def rb_access_probability(ctx: BoundContext, lambda_f: float | None = None) -> f
     return min(rho, 1.0)
 
 
+def _window_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, lb_method: str,
+                min_dbm: float):
+    """Power floor and window top (the ceiling, capped) over an array of
+    distances at or past the minimum deployment distance."""
+    p = ctx.params
+    cap = p.p_f_max_subcarrier_dbm
+    if lb_method == "exact":
+        # In the boundary sliver just above the minimum deployment distance
+        # the exact floor peeks over the cap; it is pinned to the cap there.
+        lb = _floor_exact_dbm(ctx, d)[0]
+    elif lb_method == "approx":
+        lb = np.minimum(_power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f), cap)
+    else:
+        raise ValueError(f"unknown lb_method: {lb_method!r}")
+    if lambda_f <= 0:
+        return lb, np.full(d.shape, cap)
+    ceiling, feasible = _ceiling_dbm(ctx, d, lambda_f, min_dbm)
+    if not feasible.all():
+        raise InfeasibleError("macro outage constraint unreachable at "
+                              f"d={d[~feasible][0]:.1f} m for any power ceiling")
+    return lb, np.minimum(ceiling, cap)
+
+
+def _tx_power_dbm(lb, ub, power_policy: str):
+    """Transmit power inside an open window (``lb <= ub``) per
+    ``power_policy``; the floor itself where the window is closed."""
+    if power_policy == "margin":
+        tx = np.minimum(lb + WINDOW_FLOOR_MARGIN_DB, ub)
+    elif power_policy == "lower":
+        tx = lb
+    elif power_policy == "upper":
+        tx = ub
+    elif power_policy == "midpoint":
+        tx = 0.5 * (lb + ub)
+    else:
+        raise ValueError(f"unknown power_policy: {power_policy!r}")
+    return np.where(lb <= ub, tx, lb)
+
+
 def decide(
     ctx: BoundContext,
     d: float,
@@ -220,34 +317,14 @@ def decide(
         lambda_f = p.lambda_f
     if d < min_deployment_distance(ctx):
         return RegulationDecision(d, math.nan, math.nan, 0.0, Mode.EXCLUDED, math.nan)
-    cap = p.p_f_max_subcarrier_dbm
-    if lb_method == "exact":
-        try:
-            lb = power_floor_exact_dbm(ctx, d)
-        except InfeasibleError:
-            # Boundary sliver just above the minimum deployment distance
-            # where the exact floor peeks over the cap: pin to the cap.
-            lb = cap
-    elif lb_method == "approx":
-        lb = min(power_floor_approx_dbm(ctx, d), cap)
-    else:
-        raise ValueError(f"unknown lb_method: {lb_method!r}")
-    ceiling = power_ceiling_dbm(ctx, d, lambda_f) if lambda_f > 0 else math.inf
-    ub = min(ceiling, cap)
+    lb, ub = _window_dbm(ctx, np.array([float(d)]), lambda_f, lb_method,
+                         min_serving_power_dbm(ctx))
+    tx = float(_tx_power_dbm(lb, ub, power_policy)[0])
+    lb, ub = float(lb[0]), float(ub[0])
     if lb <= ub:
-        if power_policy == "margin":
-            tx = min(lb + WINDOW_FLOOR_MARGIN_DB, ub)
-        elif power_policy == "lower":
-            tx = lb
-        elif power_policy == "upper":
-            tx = ub
-        elif power_policy == "midpoint":
-            tx = 0.5 * (lb + ub)
-        else:
-            raise ValueError(f"unknown power_policy: {power_policy!r}")
         return RegulationDecision(d, lb, ub, 1.0, Mode.WINDOW, tx)
-    rho = rb_access_probability(ctx, lambda_f)
-    return RegulationDecision(d, lb, ub, rho, Mode.THINNED, lb)
+    return RegulationDecision(d, lb, ub, rb_access_probability(ctx, lambda_f),
+                              Mode.THINNED, tx)
 
 
 @dataclass(frozen=True)
@@ -292,25 +369,27 @@ class RegulationTable:
         if d_max is None:
             d_max = p.r_m
         d_min = min_deployment_distance(ctx)
+        min_dbm = min_serving_power_dbm(ctx)
         grid = np.geomspace(d_min, max(d_max, d_min * 1.001), n_points)
-        decisions = [decide(ctx, float(di), lambda_f, lb_method, power_policy)
-                     for di in grid]
-        tx = np.array([dec.tx_power_dbm for dec in decisions])
-        thinned = np.array([dec.mode is Mode.THINNED for dec in decisions])
+        lb, ub = _window_dbm(ctx, grid, lambda_f, lb_method, min_dbm)
+        tx = _tx_power_dbm(lb, ub, power_policy)
         rho = rb_access_probability(ctx, lambda_f)
+        thinned = lb > ub
         if not thinned.any():
             onset = math.inf
-        elif thinned.all():
+        elif thinned[0]:
             onset = d_min
         else:
-            # refine the first window->thinned switch between grid neighbors
+            # the first window->thinned switch, as a root of floor - window
+            # top between grid neighbors; positive exactly where decide thins
+            def gap(d: float) -> float:
+                lb_d, ub_d = _window_dbm(ctx, np.array([d]), lambda_f, lb_method, min_dbm)
+                return float(lb_d[0] - ub_d[0])
+
             k = int(np.argmax(thinned))
-            lo, hi = grid[k - 1], grid[k]
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if decide(ctx, mid, lambda_f, lb_method, power_policy).mode is Mode.THINNED:
-                    hi = mid
-                else:
-                    lo = mid
-            onset = hi
+            onset = brentq(gap, grid[k - 1], grid[k], xtol=_ONSET_XTOL_M)
+            step = _ONSET_XTOL_M
+            while gap(onset) <= 0.0:   # the root estimate may sit on the window side
+                onset = min(onset + step, float(grid[k]))
+                step *= 2.0
         return cls(d_min, onset, rho, grid, tx)

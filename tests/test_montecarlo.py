@@ -128,12 +128,12 @@ class TestSingleDrawSamplers:
 
 
 class TestKernels:
-    def _case(self, seed, n_trials=64, n_fap=17):
+    def _case(self, seed, n_trials=64, n_fap=17, p_scale=1e-6):
         rng = np.random.default_rng(seed)
         sig = rng.exponential(size=n_trials)
         fixed = rng.exponential(size=n_trials) * 1e-3
         hq = rng.exponential(size=(n_trials, n_fap))
-        p_coef = rng.exponential(size=n_fap) * 1e-6
+        p_coef = rng.exponential(size=n_fap) * p_scale
         px, py = rng.normal(0, 800, n_fap), rng.normal(0, 800, n_fap)
         ux, uy = rng.normal(0, 500, n_trials), rng.normal(0, 500, n_trials)
         masks = rng.random((n_fap, 8)) < 0.6
@@ -145,6 +145,12 @@ class TestKernels:
         for seed in range(5):
             args = self._case(seed)
             assert _kernels.outage_count(*args) == _kernels.outage_count_numpy(*args)
+            # Without numba the assertion above compares the numpy path with
+            # itself, so also run the loop numba compiles as plain Python.
+            # At p_scale=1e9 the access points interfere as much as the fixed
+            # term does, so the per-FAP sum decides the outages.
+            loud = self._case(seed, p_scale=1e9)
+            assert _kernels._loop_outage_count(*loud) == _kernels.outage_count_numpy(*loud)
 
     def test_against_python_reference(self):
         args = self._case(123, n_trials=20, n_fap=5)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from femtoshare.analysis import (
     BoundContext,
@@ -9,6 +10,7 @@ from femtoshare.analysis import (
     femto_outage_macro_only,
     macro_outage_lower_bound,
 )
+from femtoshare.model import DB_TO_LN, NetworkParams
 from femtoshare.regulation import (
     InfeasibleError,
     Mode,
@@ -91,6 +93,37 @@ class TestPowerFloors:
     def test_exact_floor_infeasible_too_close(self, ctx30):
         with pytest.raises(InfeasibleError):
             power_floor_exact_dbm(ctx30, 300.0)
+
+
+class TestSolversAgainstBrent:
+    """The array bisection against a scalar Brent solve on the public bounds."""
+
+    @pytest.mark.parametrize("d", [420.0, 600.0, 850.0, 1000.0])
+    def test_exact_floor(self, ctx30, d):
+        p = ctx30.params
+
+        def excess(p_dbm):
+            probe = ctx30.with_serving_power_dbm(p_dbm)
+            return femto_outage_lower_bound(probe, d).p_total_lb - p.eps_f
+
+        ref = brentq(excess, power_floor_approx_dbm(ctx30, d), p.p_f_max_subcarrier_dbm,
+                     xtol=1e-12)
+        assert power_floor_exact_dbm(ctx30, d) == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("ctx_name", ["ctx30", "ctx100"])
+    @pytest.mark.parametrize("d", [420.0, 600.0, 850.0, 1000.0])
+    def test_ceiling(self, request, ctx_name, d):
+        ctx = request.getfixturevalue(ctx_name)
+        p = ctx.params
+        min_dbm = min_serving_power_dbm(ctx)
+
+        def excess(max_dbm):
+            probe = ctx.with_interferer_power(*sorted((min_dbm, max_dbm)))
+            return macro_outage_lower_bound(probe, d) - p.eps_m
+
+        lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
+        ref = brentq(excess, lo, p.p_f_max_subcarrier_dbm + 60.0, xtol=1e-12)
+        assert power_ceiling_dbm(ctx, d) == pytest.approx(ref, abs=1e-8)
 
 
 class TestPowerCeiling:
@@ -222,14 +255,39 @@ class TestDecide:
 
 
 class TestRegulationTable:
-    def test_matches_direct_decisions(self, ctx100):
-        table = RegulationTable.build(ctx100, d_max=1500.0)
-        for d in (420.0, 600.0, 900.0, 1400.0):
-            dec = decide(ctx100, d)
-            tx, prob, deployed = table.query(d)
-            assert deployed
-            assert float(tx) == pytest.approx(dec.tx_power_dbm, abs=0.05)
-            assert float(prob) == dec.transmit_prob
+    @pytest.fixture(scope="class")
+    def ctx60(self):
+        # the window closes part-way out: onset ~656 m, rho ~0.242
+        return BoundContext.from_params(
+            NetworkParams.from_expected_fap_count(60.0, xi_db=10.0))
+
+    def test_matches_direct_decisions(self, ctx30, ctx100, ctx60):
+        # at every grid node: window everywhere, thinned everywhere, and a
+        # window that closes part-way out
+        for ctx, d_max, modes in ((ctx30, None, {Mode.WINDOW}),
+                                  (ctx100, None, {Mode.THINNED}),
+                                  (ctx60, 3000.0, {Mode.WINDOW, Mode.THINNED})):
+            table = RegulationTable.build(ctx, d_max=d_max)
+            tx, prob, deployed = table.query(table.grid)
+            assert deployed.all()
+            seen = set()
+            for i, d in enumerate(table.grid):
+                dec = decide(ctx, float(d))
+                seen.add(dec.mode)
+                assert table.tx_power_dbm[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
+                assert tx[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
+                assert dec.mode is (Mode.THINNED if d >= table.d_thinned_onset
+                                    else Mode.WINDOW)
+                assert prob[i] == dec.transmit_prob
+            assert seen == modes
+
+    def test_onset_is_the_mode_switch(self, ctx60):
+        table = RegulationTable.build(ctx60, d_max=3000.0)
+        onset = table.d_thinned_onset
+        assert onset == pytest.approx(656.0, abs=1.0)
+        assert table.rho == pytest.approx(0.242, abs=1e-3)
+        assert decide(ctx60, onset).mode is Mode.THINNED
+        assert decide(ctx60, onset * (1.0 - 1e-6)).mode is Mode.WINDOW
 
     def test_excluded_region(self, ctx100):
         table = RegulationTable.build(ctx100)
