@@ -1,10 +1,13 @@
 """Hot Monte-Carlo reduction kernels.
 
-The per-trial interference sum over every access point dominates simulator
-runtime.  It is compiled with numba when available; setting the
-environment variable ``FEMTOSHARE_NO_NUMBA=1`` (or a failed numba import)
-selects a vectorized pure-numpy fallback.  Both paths compute the same
-reduction; only float summation order differs.
+The per-trial interference sum over every access point is the simulator's
+largest cost after the fading draw.  It is compiled with numba when
+available; setting the environment variable ``FEMTOSHARE_NO_NUMBA=1`` (or a
+failed numba import) selects a vectorized pure-numpy fallback.  Both paths
+compute the same reduction; only float summation order differs.  Both
+release the GIL (the compiled kernel is built with ``nogil=True``; numpy
+does in its array loops), so the drop threads of
+:mod:`femtoshare.montecarlo` overlap in it.
 """
 
 from __future__ import annotations
@@ -18,13 +21,20 @@ __all__ = ["USE_NUMBA", "outage_count", "outage_count_numpy"]
 
 def _numpy_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
                         half_alpha, masks, rb, gamma, min_d2, skip):
-    d2 = (px - ux[:, None]) ** 2 + (py - uy[:, None]) ** 2
-    np.maximum(d2, min_d2, out=d2)
-    active = masks[:, rb].T.astype(float)
+    # (trial, FAP) faded path gain, built in one buffer
+    gain = np.subtract(px, ux[:, None])
+    np.square(gain, out=gain)
+    dy = np.subtract(py, uy[:, None])
+    np.square(dy, out=dy)
+    gain += dy
+    np.maximum(gain, min_d2, out=gain)
+    np.power(gain, -half_alpha, out=gain)
+    gain *= hq
+    if not masks.all():
+        gain *= masks[:, rb].T
     if skip >= 0:
-        active[:, skip] = 0.0
-    interf = fixed + np.einsum("tn,tn,n,tn->t", hq, d2 ** (-half_alpha),
-                               p_coef, active)
+        gain[:, skip] = 0.0
+    interf = fixed + np.einsum("tn,n->t", gain, p_coef)
     return int(np.count_nonzero((interf > 0.0) & (sig < gamma * interf)))
 
 
@@ -61,7 +71,8 @@ if _want_numba():
     try:
         from numba import njit
 
-        outage_count = njit(_loop_outage_count, cache=True, fastmath=False)
+        outage_count = njit(_loop_outage_count, cache=True, fastmath=False,
+                             nogil=True)
         USE_NUMBA = True
     except ImportError:  # numba is an optional extra; this is the default without it
         outage_count = _numpy_outage_count

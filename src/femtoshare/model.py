@@ -16,6 +16,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -306,23 +307,26 @@ class NetworkParams:
     def p_f_max_subcarrier_dbm(self) -> float:
         return per_subcarrier_power(self.p_f_max_total_dbm, self.n_subcarriers)
 
-    @property
+    # Linear targets and gains, computed once per instance.  cached_property
+    # stores into the instance __dict__, which a frozen dataclass allows;
+    # equality and hashing see only the fields.
+    @cached_property
     def gamma_m(self) -> float:
         return float(db_to_linear(self.gamma_m_db))
 
-    @property
+    @cached_property
     def gamma_f(self) -> float:
         return float(db_to_linear(self.gamma_f_db))
 
-    @property
+    @cached_property
     def g_m(self) -> float:
         return float(db_to_linear(self.g_m_dbi))
 
-    @property
+    @cached_property
     def g_f(self) -> float:
         return float(db_to_linear(self.g_f_dbi))
 
-    @property
+    @cached_property
     def g_u(self) -> float:
         return float(db_to_linear(self.g_u_dbi))
 

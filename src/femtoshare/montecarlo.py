@@ -11,11 +11,20 @@ Victim placement: the outage probability at range ``d`` is isotropic, so
 each trial the victim sits at a fresh uniform azimuth on the radius-``d``
 circle; this is an unbiased estimator of the same quantity with far less
 drop-geometry variance than a fixed victim.
+
+Drops run on a pool of threads as wide as the CPUs this process may use.
+Each drop draws from its own ``(seed, point, drop)`` stream and the
+per-drop results are combined in drop order, so every estimate is the
+same, bit for bit, on any CPU count.  The CLI's ``--jobs`` fans grid
+points out across processes on top of that; each worker threads its own
+drops.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,8 +165,9 @@ def _fap_interference_coeffs(params: NetworkParams, links, drop: FemtoDrop,
 
 def _hq(rng: np.random.Generator, mu_db: float, sigma_db: float, size):
     """Rayleigh-power fading times lognormal shadowing, sampled separately."""
-    return rng.exponential(size=size) * rng.lognormal(
-        DB_TO_LN * mu_db, DB_TO_LN * sigma_db, size)
+    out = rng.exponential(size=size)
+    out *= rng.lognormal(DB_TO_LN * mu_db, DB_TO_LN * sigma_db, size)
+    return out
 
 
 # -- single-draw reference samplers ----------------------------------------
@@ -249,6 +259,30 @@ def _drop_rng(seed: int, point: int, drop_idx: int) -> np.random.Generator:
     """Independent stream per (sweep point, drop): scheduling-invariant."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed, point, drop_idx))))
+
+
+def _map_drops(fn, n_drops: int) -> list:
+    """``[fn(k) for k in range(n_drops)]``, run on a pool of threads as wide
+    as the CPUs this process may use (serially where that is one).
+
+    Each drop draws from its own stream and numpy releases the GIL in its
+    random fills and array loops, so drops overlap; results come back in
+    drop order.  The pool lives for this call only, so no thread outlives
+    it (a forked ``--jobs`` worker starts without any).
+    """
+    width = min(_usable_cpus(), n_drops)
+    if width <= 1:
+        return [fn(k) for k in range(n_drops)]
+    with ThreadPoolExecutor(max_workers=width,
+                            thread_name_prefix="femtoshare-drop") as pool:
+        return list(pool.map(fn, range(n_drops)))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _simulate_drop_outages(
@@ -352,31 +386,38 @@ def estimate_op(
     if mode == "regulated":
         regulation = RegulationTable.build(
             ctx, d_max=region, lb_method=lb_method, power_policy=power_policy)
-    results = []
-    for pt, d in enumerate(distances, start=point_offset):
+    serving = []
+    for d in distances:
         if mode == "regulated" and tier == "femto":
             dec = decide(ctx, float(d), lb_method=lb_method, power_policy=power_policy)
             if dec.mode is Mode.EXCLUDED:
                 raise ValueError(
                     f"femtocells cannot be deployed at d={d:.1f} m "
                     f"(< {regulation.d_min_deploy:.1f} m)")
-            serving_dbm, serving_prob = dec.tx_power_dbm, dec.transmit_prob
+            serving.append((dec.tx_power_dbm, dec.transmit_prob))
         else:
-            serving_prob = 1.0
-            serving_dbm = ctx.p_f_serving_dbm
-        outages = 0
-        for k in range(n_drops):
-            rng = _drop_rng(seed, pt, k)
-            drop = drop_faps(
-                params, region, rng,
-                power_dist=None if regulation is not None else ctx.fap_power,
-                regulation=regulation,
-                min_radius=regulation.d_min_deploy if regulation is not None else 0.0,
-                seed=(seed, pt, k),
-            )
-            outages += _simulate_drop_outages(
-                params, links, drop, tier, float(d), n_trials, rng,
-                serving_dbm, serving_prob)
+            serving.append((ctx.p_f_serving_dbm, 1.0))
+
+    # one task per (point, drop) pair, so the pool stays busy across points
+    def drop_outages(i: int) -> int:
+        j, k = divmod(i, n_drops)
+        pt = point_offset + j
+        rng = _drop_rng(seed, pt, k)
+        drop = drop_faps(
+            params, region, rng,
+            power_dist=None if regulation is not None else ctx.fap_power,
+            regulation=regulation,
+            min_radius=regulation.d_min_deploy if regulation is not None else 0.0,
+            seed=(seed, pt, k),
+        )
+        return _simulate_drop_outages(
+            params, links, drop, tier, float(distances[j]), n_trials, rng,
+            *serving[j])
+
+    counts = _map_drops(drop_outages, len(distances) * n_drops)
+    results = []
+    for j in range(len(distances)):
+        outages = sum(counts[j * n_drops:(j + 1) * n_drops])
         p, se = _pooled(outages, n_drops * n_trials)
         results.append(SimResult(p, se, n_drops * n_trials))
     return results
@@ -409,11 +450,8 @@ def estimate_ase(
     cell_area = math.pi * params.r_m**2
     se_f = math.log2(1.0 + params.gamma_f)
     se_m = math.log2(1.0 + params.gamma_m)
-    ase_f_acc = 0.0
-    ase_m_acc = 0.0
-    mue_outages = 0
-    mue_trials = 0
-    for k in range(n_drops):
+
+    def drop_terms(k: int) -> tuple[float, int, int]:
         rng = _drop_rng(seed, 0, k)
         drop = drop_faps(
             params, region, rng, regulation=regulation,
@@ -436,9 +474,17 @@ def estimate_ase(
                     params, links, drop, int(j), active_rbs, n_trials, rng)
                 density_success += activity * (succ / n_trials)
             density_success *= in_cell.size / n_tag
-        ase_f_acc += density_success / cell_area * se_f
         # macro side: uniform victims in the cell
         succ_m, n_m = _uniform_mue_success(params, links, drop, n_trials, rng)
+        return density_success, succ_m, n_m
+
+    # accumulate in drop order, so the sums do not depend on the thread count
+    ase_f_acc = 0.0
+    ase_m_acc = 0.0
+    mue_outages = 0
+    mue_trials = 0
+    for density_success, succ_m, n_m in _map_drops(drop_terms, n_drops):
+        ase_f_acc += density_success / cell_area * se_f
         ase_m_acc += params.mue_density * (succ_m / n_m) * se_m
         mue_outages += n_m - succ_m
         mue_trials += n_m

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from femtoshare.model import (
     NetworkParams,
     build_links,
     composite_fading_shadowing,
+    db_to_linear,
     dbm_to_mw,
     dump_scenario,
     fap_power_distribution,
@@ -203,6 +205,32 @@ class TestNetworkParams:
     def test_replace(self, params30):
         p = params30.replace(xi_db=15.0)
         assert p.xi_db == 15.0 and p.r_m == params30.r_m
+
+    GAINS = {"gamma_m": "gamma_m_db", "gamma_f": "gamma_f_db",
+             "g_m": "g_m_dbi", "g_f": "g_f_dbi", "g_u": "g_u_dbi"}
+
+    def test_linear_gains_computed_once(self):
+        p = NetworkParams(gamma_f_db=7.3, g_m_dbi=14.1, g_u_dbi=-1.5)
+        for name, db_field in self.GAINS.items():
+            value = getattr(p, name)
+            assert value == float(db_to_linear(getattr(p, db_field)))
+            # a cached value is the same object on every access
+            assert getattr(p, name) is value
+        changed = p.replace(gamma_f_db=12.0)
+        assert changed.gamma_f == float(db_to_linear(12.0))
+        assert p.gamma_f == float(db_to_linear(7.3))
+
+    def test_cached_gains_leave_equality_hash_and_pickle_alone(self):
+        warm = NetworkParams.from_expected_fap_count(30)
+        for name in self.GAINS:
+            getattr(warm, name)
+        cold = NetworkParams.from_expected_fap_count(30)
+        assert warm == cold and hash(warm) == hash(cold)
+        for p in (warm, cold):
+            back = pickle.loads(pickle.dumps(p))
+            assert back == p and hash(back) == hash(p)
+            for name in self.GAINS:
+                assert getattr(back, name) == getattr(p, name)
 
 
 class TestScenarioFile:

@@ -1,9 +1,15 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from femtoshare import _kernels
+from femtoshare import _kernels, montecarlo
 from femtoshare.analysis import BoundContext, femto_outage_lower_bound
 from femtoshare.model import NetworkParams, build_links, dbm_to_mw
 from femtoshare.montecarlo import (
@@ -128,7 +134,8 @@ class TestSingleDrawSamplers:
 
 
 class TestKernels:
-    def _case(self, seed, n_trials=64, n_fap=17, p_scale=1e-6):
+    def _case(self, seed, n_trials=64, n_fap=17, p_scale=1e-6, skip=2,
+              all_active=False):
         rng = np.random.default_rng(seed)
         sig = rng.exponential(size=n_trials)
         fixed = rng.exponential(size=n_trials) * 1e-3
@@ -137,9 +144,26 @@ class TestKernels:
         px, py = rng.normal(0, 800, n_fap), rng.normal(0, 800, n_fap)
         ux, uy = rng.normal(0, 500, n_trials), rng.normal(0, 500, n_trials)
         masks = rng.random((n_fap, 8)) < 0.6
+        if all_active:
+            masks[:] = True
         rb = rng.integers(0, 8, n_trials)
         return (sig, fixed, hq, p_coef, px, py, ux, uy, 2.0, masks,
-                rb.astype(np.int64), 3.0, 1.0, 2)
+                rb.astype(np.int64), 3.0, 1.0, skip)
+
+    @staticmethod
+    def _reference_count(sig, fixed, hq, p_coef, px, py, ux, uy, ha, masks,
+                         rb, gamma, md2, skip):
+        count = 0
+        for t in range(sig.shape[0]):
+            acc = fixed[t]
+            for i in range(px.shape[0]):
+                if i == skip or not masks[i, rb[t]]:
+                    continue
+                d2 = max((px[i] - ux[t]) ** 2 + (py[i] - uy[t]) ** 2, md2)
+                acc += p_coef[i] * hq[t, i] * d2 ** (-ha)
+            if acc > 0 and sig[t] < gamma * acc:
+                count += 1
+        return count
 
     def test_numba_and_numpy_paths_agree(self):
         for seed in range(5):
@@ -154,17 +178,22 @@ class TestKernels:
 
     def test_against_python_reference(self):
         args = self._case(123, n_trials=20, n_fap=5)
-        (sig, fixed, hq, p_coef, px, py, ux, uy, ha, masks, rb, gamma, md2, skip) = args
-        count = 0
-        for t in range(20):
-            acc = fixed[t]
-            for i in range(5):
-                if i == skip or not masks[i, rb[t]]:
-                    continue
-                d2 = max((px[i] - ux[t]) ** 2 + (py[i] - uy[t]) ** 2, md2)
-                acc += p_coef[i] * hq[t, i] * d2 ** (-ha)
-            if acc > 0 and sig[t] < gamma * acc:
-                count += 1
+        count = self._reference_count(*args)
+        assert _kernels.outage_count(*args) == count
+        assert _kernels.outage_count_numpy(*args) == count
+
+    @pytest.mark.parametrize("skip", [-1, 2])
+    @pytest.mark.parametrize("all_active", [False, True])
+    def test_against_python_reference_with_interference(self, skip, all_active):
+        # Loud access points: their sum, not the fixed term, decides outages.
+        # In this case skipping access point 2 and masking RBs each change
+        # the count.  all_active takes the numpy path without the mask gather.
+        args = self._case(7, p_scale=1e9, skip=skip, all_active=all_active)
+        count = self._reference_count(*args)
+        assert 0 < count < 64
+        silent = list(args)
+        silent[3] = np.zeros_like(args[3])
+        assert count > self._reference_count(*silent)
         assert _kernels.outage_count(*args) == count
         assert _kernels.outage_count_numpy(*args) == count
 
@@ -244,3 +273,81 @@ class TestEstimateAse:
         assert 0.0 < res.ase_m <= cap_m
         assert res.ase_f > 0.0
         assert res.ase_total == pytest.approx(res.ase_f + res.ase_m, rel=1e-12)
+
+
+_ESTIMATES = """
+import femtoshare as fs
+
+params = fs.NetworkParams.from_expected_fap_count(30)
+out = {}
+for mode in ("validation", "regulated"):
+    for tier in ("femto", "macro"):
+        out[mode, tier] = fs.estimate_op(params, tier, [700.0, 1000.0], n_drops=6,
+                                         n_trials=50, seed=11, mode=mode)
+out["ase"] = fs.estimate_ase(params, n_drops=8, n_trials=20, seed=11)
+"""
+
+_PINNED = """
+import os
+os.sched_setaffinity(0, {%d})
+assert len(os.sched_getaffinity(0)) == 1
+""" + _ESTIMATES
+
+_THREAD_COUNTS = """
+import threading
+import femtoshare as fs
+
+params = fs.NetworkParams.from_expected_fap_count(30)
+out = [threading.active_count()]
+fs.estimate_op(params, "macro", [800.0], n_drops=4, n_trials=20, seed=1)
+out.append(threading.active_count())
+fs.estimate_ase(params, n_drops=3, n_trials=20, seed=1)
+out.append(threading.active_count())
+"""
+
+
+def _run_python(script):
+    """Run ``script`` in a fresh interpreter and return its ``out``."""
+    env = dict(os.environ)
+    src = str(Path(montecarlo.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script += "\nimport pickle, sys\nsys.stdout.write(pickle.dumps(out).hex())\n"
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    return pickle.loads(bytes.fromhex(done.stdout))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity control and at least two CPUs")
+def test_results_do_not_depend_on_cpu_count(monkeypatch):
+    # In process the drops run on more threads than there are CPUs, with a
+    # short switch interval; pinned to one CPU, a subprocess runs them
+    # serially.  The estimates must agree bit for bit.
+    threads = set()
+    original = montecarlo.drop_faps
+
+    def recording_drop_faps(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "drop_faps", recording_drop_faps)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+    scope = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        exec(_ESTIMATES, scope)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 2   # the drops did run on a pool
+    cpu = min(os.sched_getaffinity(0))
+    assert _run_python(_PINNED % cpu) == scope["out"]
+
+
+def test_no_drop_thread_outlives_an_estimate():
+    # a fresh interpreter, so that no thread left by an earlier call hides
+    # one left by this one
+    counts = _run_python(_THREAD_COUNTS)
+    assert counts == [counts[0]] * 3
