@@ -16,13 +16,14 @@ Drops run on a pool of threads as wide as the CPUs this process may use.
 Each drop draws from its own ``(seed, point, drop)`` stream and the
 per-drop results are combined in drop order, so every estimate is the
 same, bit for bit, on any CPU count.  The CLI's ``--jobs`` fans grid
-points out across processes on top of that; each worker threads its own
-drops.
+points out across processes instead; each worker runs its drops
+serially.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -268,14 +269,23 @@ def _map_drops(fn, n_drops: int) -> list:
     Each drop draws from its own stream and numpy releases the GIL in its
     random fills and array loops, so drops overlap; results come back in
     drop order.  The pool lives for this call only, so no thread outlives
-    it (a forked ``--jobs`` worker starts without any).
+    it.  A process started by ``multiprocessing`` (a ``--jobs`` worker)
+    runs its drops serially, so that process and thread parallelism do
+    not multiply.  If a drop raises, or the caller is interrupted, the
+    drops not yet started are cancelled before the exception propagates.
     """
-    width = min(_usable_cpus(), n_drops)
+    if multiprocessing.parent_process() is not None:
+        width = 1
+    else:
+        width = min(_usable_cpus(), n_drops)
     if width <= 1:
         return [fn(k) for k in range(n_drops)]
-    with ThreadPoolExecutor(max_workers=width,
-                            thread_name_prefix="femtoshare-drop") as pool:
+    pool = ThreadPoolExecutor(max_workers=width,
+                              thread_name_prefix="femtoshare-drop")
+    try:
         return list(pool.map(fn, range(n_drops)))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _usable_cpus() -> int:

@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 import os
 import pickle
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -351,3 +353,37 @@ def test_no_drop_thread_outlives_an_estimate():
     # one left by this one
     counts = _run_python(_THREAD_COUNTS)
     assert counts == [counts[0]] * 3
+
+
+def test_a_failing_drop_cancels_the_drops_not_yet_started(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    started = []
+
+    def drop(k):
+        started.append(k)
+        if k == 0:
+            raise ValueError("drop 0 failed")
+        time.sleep(0.005)
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="drop 0 failed"):
+        montecarlo._map_drops(drop, 4000)
+    # the four threads had started a few drops each, not the 4000 queued
+    assert len(started) < 100
+    assert threading.active_count() == before
+
+
+def _drop_thread_names(n_drops):
+    return montecarlo._map_drops(
+        lambda k: threading.current_thread().name, n_drops)
+
+
+def test_multiprocessing_worker_runs_its_drops_serially(monkeypatch):
+    # a --jobs worker must not start a drop pool of its own on top of the
+    # process fan-out
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    assert set(_drop_thread_names(8)) != {"MainThread"}
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as ex:
+        names = ex.submit(_drop_thread_names, 8).result()
+    assert names == ["MainThread"] * 8
