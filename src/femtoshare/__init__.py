@@ -12,7 +12,6 @@ from .analysis import (
 )
 from .model import (
     DB_TO_LN,
-    LinkKind,
     LinkSet,
     LognormalDist,
     NetworkParams,
@@ -31,8 +30,6 @@ from .montecarlo import (
     drop_faps,
     estimate_ase,
     estimate_op,
-    sample_sir_fue,
-    sample_sir_mue,
 )
 from .quadrature import Kind, QuadratureRule, integrate, make_rule
 from .regulation import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -150,6 +151,23 @@ class BoundContext:
             self.comp_serving.loc - self.comp_macro_indoor.loc,
             math.hypot(self.comp_serving.scale, self.comp_macro_indoor.scale),
         )
+
+    # Computed once per context: cached_property stores into the instance
+    # __dict__, which a frozen dataclass allows.
+    @cached_property
+    def macro_b_tilde(self) -> np.ndarray:
+        """Per-Hermite-node coefficient of the macro bound's void exponent,
+        before the intensity, interfering-power and distance factors."""
+        p = self.params
+        a = p.alpha_mf
+        comp_out = self.comp_fap_outdoor
+        comp_sig = self.comp_macro_outdoor
+        geo = (p.g_f * self.links.macro_to_outdoor.phi * p.gamma_m
+               / (p.g_m * self.links.fap_to_outdoor.phi)) ** (2.0 / a)
+        return math.pi * geo * np.exp(
+            2.0 * (comp_out.loc - comp_sig.loc
+                   - math.sqrt(2.0) * comp_sig.scale * self.hermite.nodes) / a
+            + 2.0 * comp_out.scale**2 / a**2)
 
 
 def _macro_only_threshold(ctx: BoundContext, d, p_serving_mw):
@@ -317,20 +335,12 @@ def _macro_bound(ctx: BoundContext, d, power_loc, power_scale, lambda_eff: float
     natural-log location and scale of the interfering-power lognormal."""
     p = ctx.params
     a = p.alpha_mf
-    b_m = ctx.hermite.nodes
-    v_m = ctx.hermite.weights
-    comp_out = ctx.comp_fap_outdoor
-    comp_sig = ctx.comp_macro_outdoor
-    geo = (p.g_f * ctx.links.macro_to_outdoor.phi * p.gamma_m
-           / (p.g_m * ctx.links.fap_to_outdoor.phi)) ** (2.0 / a)
-    b_tilde = math.pi * geo * np.exp(
-        2.0 * (comp_out.loc - comp_sig.loc - math.sqrt(2.0) * comp_sig.scale * b_m) / a
-        + 2.0 * comp_out.scale**2 / a**2)
     power_factor = np.exp(2.0 * power_loc / a + 2.0 * power_scale**2 / a**2)
     dist_factor = (d ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
-    ln_void = -np.minimum(
-        b_tilde * lambda_eff * power_factor[..., None] * dist_factor[..., None], _EXP_CAP)
-    out = 1.0 - np.sum(v_m / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
+    ln_void = -np.minimum(ctx.macro_b_tilde * lambda_eff * power_factor[..., None]
+                          * dist_factor[..., None], _EXP_CAP)
+    out = 1.0 - np.sum(ctx.hermite.weights / math.sqrt(math.pi) * np.exp(ln_void),
+                       axis=-1)
     return np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
 
 

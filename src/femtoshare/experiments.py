@@ -10,7 +10,6 @@ fails.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -79,7 +78,6 @@ class ExperimentSpec:
     out_dir: Path = Path("results")
     nf_values: tuple[float, ...] | None = None
     xi_values: tuple[float, ...] | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.sweep is not None:
@@ -97,7 +95,8 @@ class ExperimentSpec:
         return base
 
     def scale(self, drops_default: int, trials_default: int) -> tuple[int, int]:
-        return (self.n_drops or drops_default, self.n_trials or trials_default)
+        return (drops_default if self.n_drops is None else self.n_drops,
+                trials_default if self.n_trials is None else self.n_trials)
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -124,20 +123,6 @@ def _monotone_check(name: str, curve: Curve, direction: str) -> dict:
     return _check(name, ok, f"worst step: {worst:+.3e}")
 
 
-def _op_points(params, tier, distances, n_drops, n_trials, seed, jobs, **kw):
-    """estimate_op over a grid, optionally fanned out point-per-worker."""
-    distances = list(map(float, distances))
-    if jobs <= 1 or len(distances) == 1:
-        return estimate_op(params, tier, distances, n_drops, n_trials, seed, **kw)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        futs = [
-            ex.submit(estimate_op, params, tier, [d], n_drops, n_trials, seed,
-                      point_offset=pt, **kw)
-            for pt, d in enumerate(distances)
-        ]
-        return [f.result()[0] for f in futs]
-
-
 # -- presets -----------------------------------------------------------------
 
 
@@ -159,8 +144,7 @@ def _op_vs_distance(spec: ExperimentSpec, mode: str, label: str):
         tag = f"nf{nf:g}"
         sims = {}
         for tier in ("femto", "macro"):
-            res = _op_points(params, tier, grid, drops, trials, spec.seed,
-                             spec.jobs, mode=mode)
+            res = estimate_op(params, tier, grid, drops, trials, spec.seed, mode=mode)
             sims[tier] = Curve.simulated(f"{label}_op_{tier}_sim_{tag}", grid, res)
             curves.append(sims[tier])
         if mode == "validation":
@@ -348,8 +332,7 @@ def preset_custom(spec: ExperimentSpec):
         bm = Curve.analytic(f"custom_op_macro_bound_{tag}", grid, mb)
         curves += [bf, bm]
         for tier, bound in (("femto", bf), ("macro", bm)):
-            res = _op_points(params, tier, grid, drops, trials, spec.seed,
-                             spec.jobs)
+            res = estimate_op(params, tier, grid, drops, trials, spec.seed)
             sim = Curve.simulated(f"custom_op_{tier}_sim_{tag}", grid, res)
             curves.append(sim)
             checks.append(_ordering_check(f"ordering_{tier}_{tag}", bound, sim))
@@ -417,8 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="expected femtocell count (repeatable)")
     runp.add_argument("--xi", type=float, action="append", default=None,
                       help="wall-partition loss in dB (repeatable)")
-    runp.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for sweep points")
     runp.add_argument("--sweep", nargs="+", default=None, metavar=("FIELD", "VALUE"),
                       help="custom preset: parameter name followed by values")
     return ap
@@ -426,6 +407,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag, count in (("--drops", args.drops), ("--trials", args.trials)):
+        if count is not None and count < 1:
+            print(f"{flag} must be a positive count", file=sys.stderr)
+            return 2
     overrides = {}
     if args.config is not None:
         from dataclasses import fields as dc_fields
@@ -457,7 +442,6 @@ def main(argv=None) -> int:
         out_dir=args.out,
         nf_values=tuple(args.nf) if args.nf else None,
         xi_values=tuple(args.xi) if args.xi else None,
-        jobs=args.jobs,
     )
     summary = run(spec)
     for c in summary["checks"]:

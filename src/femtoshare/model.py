@@ -12,7 +12,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -25,7 +24,6 @@ __all__ = [
     "DB_TO_LN",
     "EXP_LN_FIT_MEAN_SHIFT_DB",
     "EXP_LN_FIT_STD_DB",
-    "LinkKind",
     "PropagationLink",
     "LinkSet",
     "LognormalDist",
@@ -87,16 +85,6 @@ def per_subcarrier_power(total_dbm: float, n_subcarriers: int) -> float:
     return float(total_dbm) - 10.0 * math.log10(n_subcarriers)
 
 
-class LinkKind(enum.Enum):
-    """The five link types of the terrestrial propagation model."""
-
-    MACRO_TO_OUTDOOR_UE = "macro_to_outdoor_ue"
-    SERVING_FAP_TO_INDOOR_UE = "serving_fap_to_indoor_ue"
-    FAP_TO_OUTDOOR_UE = "fap_to_outdoor_ue"
-    MACRO_TO_INDOOR_UE = "macro_to_indoor_ue"
-    INTERFERING_FAP_TO_INDOOR_UE = "interfering_fap_to_indoor_ue"
-
-
 @dataclass(frozen=True)
 class PropagationLink:
     """One link type: fixed loss, path-loss exponent, shadowing statistics.
@@ -106,7 +94,6 @@ class PropagationLink:
     with dB-domain mean ``mu_db`` and std ``sigma_db``.
     """
 
-    kind: LinkKind
     phi: float
     alpha: float
     mu_db: float = 0.0
@@ -349,13 +336,6 @@ class LinkSet:
     macro_to_indoor: PropagationLink
     interfering_fap_to_indoor: PropagationLink
 
-    def __iter__(self):
-        yield self.macro_to_outdoor
-        yield self.serving_fap_to_indoor
-        yield self.fap_to_outdoor
-        yield self.macro_to_indoor
-        yield self.interfering_fap_to_indoor
-
 
 def build_links(params: NetworkParams) -> LinkSet:
     """Derive the five links from scenario parameters.
@@ -369,20 +349,15 @@ def build_links(params: NetworkParams) -> LinkSet:
     xi = float(db_to_linear(params.xi_db))
     return LinkSet(
         macro_to_outdoor=PropagationLink(
-            LinkKind.MACRO_TO_OUTDOOR_UE, phi_m, params.alpha_m,
-            params.mu_m_db, params.sigma_m_db),
+            phi_m, params.alpha_m, params.mu_m_db, params.sigma_m_db),
         serving_fap_to_indoor=PropagationLink(
-            LinkKind.SERVING_FAP_TO_INDOOR_UE, phi_f, params.alpha_f,
-            params.mu_f_db, params.sigma_f_db),
+            phi_f, params.alpha_f, params.mu_f_db, params.sigma_f_db),
         fap_to_outdoor=PropagationLink(
-            LinkKind.FAP_TO_OUTDOOR_UE, phi_f * xi, params.alpha_mf,
-            params.mu_mf_db, params.sigma_mf_db),
+            phi_f * xi, params.alpha_mf, params.mu_mf_db, params.sigma_mf_db),
         macro_to_indoor=PropagationLink(
-            LinkKind.MACRO_TO_INDOOR_UE, phi_m * xi, params.alpha_fm,
-            params.mu_fm_db, params.sigma_fm_db),
+            phi_m * xi, params.alpha_fm, params.mu_fm_db, params.sigma_fm_db),
         interfering_fap_to_indoor=PropagationLink(
-            LinkKind.INTERFERING_FAP_TO_INDOOR_UE, phi_f * xi**2, params.alpha_ff,
-            params.mu_ff_db, params.sigma_ff_db),
+            phi_f * xi**2, params.alpha_ff, params.mu_ff_db, params.sigma_ff_db),
     )
 
 

@@ -12,18 +12,20 @@ each trial the victim sits at a fresh uniform azimuth on the radius-``d``
 circle; this is an unbiased estimator of the same quantity with far less
 drop-geometry variance than a fixed victim.
 
+Every estimate builds a batch of victims per drop (positions, faded
+signal, fixed interference, the RBs they may use) and hands it to
+:func:`_victim_outages`, the one path from a drop plus victims to an
+outage count and the only caller of the outage kernel.
+
 Drops run on a pool of threads as wide as the CPUs this process may use.
 Each drop draws from its own ``(seed, point, drop)`` stream and the
 per-drop results are combined in drop order, so every estimate is the
-same, bit for bit, on any CPU count.  The CLI's ``--jobs`` fans grid
-points out across processes instead; each worker runs its drops
-serially.
+same, bit for bit, on any CPU count.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,15 +34,13 @@ import numpy as np
 
 from . import _kernels
 from .analysis import BoundContext
-from .model import DB_TO_LN, LognormalDist, NetworkParams, build_links, dbm_to_mw
+from .model import DB_TO_LN, LognormalDist, NetworkParams, dbm_to_mw
 from .regulation import Mode, RegulationTable, decide
 
 __all__ = [
     "FemtoDrop",
     "SimResult",
     "drop_faps",
-    "sample_sir_fue",
-    "sample_sir_mue",
     "estimate_op",
     "estimate_ase",
 ]
@@ -62,7 +62,6 @@ class FemtoDrop:
     fap_positions: np.ndarray    # (n, 2) meters, MBS at the origin
     fap_powers_dbm: np.ndarray   # (n,) per-subcarrier transmit power
     fap_rb_masks: np.ndarray     # (n, n_rb) bool
-    seed: object = None
 
     @property
     def n_faps(self) -> int:
@@ -96,7 +95,6 @@ def drop_faps(
     power_dist: LognormalDist | None = None,
     regulation: RegulationTable | None = None,
     min_radius: float = 0.0,
-    seed: object = None,
 ) -> FemtoDrop:
     """Sample one FAP field: Poisson count at the scenario intensity,
     positions uniform over the disc (annulus when ``min_radius`` > 0).
@@ -130,127 +128,56 @@ def drop_faps(
         masks = np.ones((0, params.n_rb), dtype=bool)
     else:
         raise ValueError("provide power_dist or regulation to assign powers")
-    return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks, seed)
+    return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks)
 
 
-# -- per-link coefficient helpers ------------------------------------------
+# -- one drop against a batch of victims ----------------------------------
 
 
-def _fue_signal_coeff(params: NetworkParams, links, serving_power_dbm: float) -> float:
-    """Received femto signal power per unit channel gain, mW (cell-edge UE)."""
-    p_mw = float(dbm_to_mw(serving_power_dbm))
-    link = links.serving_fap_to_indoor
-    return p_mw * params.g_f * params.g_u / (link.phi * params.r_f**params.alpha_f)
-
-
-def _mbs_to_fue_coeff(params: NetworkParams, links, d: float) -> float:
-    link = links.macro_to_indoor
-    p_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
-    return p_mw * params.g_m * params.g_u / (link.phi * d**params.alpha_fm)
-
-
-def _mbs_to_mue_coeff(params: NetworkParams, links, d):
-    link = links.macro_to_outdoor
-    p_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
-    return p_mw * params.g_m * params.g_u / (link.phi * d**params.alpha_m)
-
-
-def _fap_interference_coeffs(params: NetworkParams, links, drop: FemtoDrop,
-                             indoor_victim: bool) -> np.ndarray:
-    """Per-FAP interference coefficient (multiply by channel gain and
-    distance^-alpha): power x gains / fixed loss."""
-    link = links.interfering_fap_to_indoor if indoor_victim else links.fap_to_outdoor
-    p_mw = np.asarray(dbm_to_mw(drop.fap_powers_dbm)) if drop.n_faps else np.empty(0)
-    return p_mw * params.g_f * params.g_u / link.phi
-
-
-def _hq(rng: np.random.Generator, mu_db: float, sigma_db: float, size):
-    """Rayleigh-power fading times lognormal shadowing, sampled separately."""
+def _hq(rng: np.random.Generator, link, size):
+    """Rayleigh-power fading times lognormal shadowing on ``link``, sampled
+    separately."""
     out = rng.exponential(size=size)
-    out *= rng.lognormal(DB_TO_LN * mu_db, DB_TO_LN * sigma_db, size)
+    out *= rng.lognormal(DB_TO_LN * link.mu_db, DB_TO_LN * link.sigma_db, size)
     return out
 
 
-# -- single-draw reference samplers ----------------------------------------
+def _received(rng: np.random.Generator, params: NetworkParams, link, p_dbm: float,
+              g_tx: float, d, n: int):
+    """Faded power (mW) that ``n`` UEs receive over ``link`` from a
+    transmitter of power ``p_dbm`` and antenna gain ``g_tx`` at range ``d``."""
+    p_mw = float(dbm_to_mw(p_dbm))
+    return p_mw * g_tx * params.g_u / (link.phi * d**link.alpha) * _hq(rng, link, n)
 
 
-def sample_sir_fue(
-    params: NetworkParams,
-    drop: FemtoDrop,
-    d_fm: float,
-    serving_power_dbm: float,
-    rng: np.random.Generator | None,
-    rb: int = 0,
-) -> float:
-    """One draw of the cell-edge femto UE SIR at range ``d_fm`` from the MBS.
+def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
+                    ux, uy, sig, fixed, rbs, rng: np.random.Generator,
+                    skip: int = -1) -> int:
+    """Outage count of a batch of victims against one drop.
 
-    With ``rng=None`` every channel gain is deterministic (Rayleigh power 1,
-    shadowing at its median) and the victim sits on the +x axis; useful as
-    a hand-checkable reference.  Empty interference yields ``inf``.
+    Victim ``t`` sits at ``(ux[t], uy[t])`` with faded signal ``sig[t]`` and
+    fixed (non-FAP) interference ``fixed[t]``, both in mW; it is an indoor
+    femto UE or an outdoor macro UE.  Each victim draws its RB from ``rbs``,
+    then every FAP's fading towards it; FAP ``skip`` (the victim's own
+    serving FAP) is left out of the sum.  A victim with no interference at
+    all is not in outage.
     """
-    if d_fm <= 0:
-        raise ValueError("distance must be positive")
-    links = build_links(params)
-    if rng is None:
-        theta = 0.0
-        hq_s = hq_m = 1.0
-        hq_i = np.ones(drop.n_faps)
-    else:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        hq_s = float(_hq(rng, links.serving_fap_to_indoor.mu_db,
-                         links.serving_fap_to_indoor.sigma_db, None))
-        hq_m = float(_hq(rng, links.macro_to_indoor.mu_db,
-                         links.macro_to_indoor.sigma_db, None))
-        hq_i = _hq(rng, links.interfering_fap_to_indoor.mu_db,
-                   links.interfering_fap_to_indoor.sigma_db, drop.n_faps)
-    signal = _fue_signal_coeff(params, links, serving_power_dbm) * hq_s
-    interf = _mbs_to_fue_coeff(params, links, d_fm) * hq_m
-    if drop.n_faps:
-        ue = np.array([d_fm * math.cos(theta), d_fm * math.sin(theta)])
-        dist = np.linalg.norm(drop.fap_positions - ue, axis=1)
-        dist = np.maximum(dist, MIN_INTERFERER_DISTANCE_M)
-        coeff = _fap_interference_coeffs(params, links, drop, indoor_victim=True)
-        active = drop.fap_rb_masks[:, rb]
-        interf += float(np.sum(active * coeff * hq_i
-                               * dist**(-params.alpha_ff)))
-    if interf <= 0.0:
-        return math.inf
-    return signal / interf
-
-
-def sample_sir_mue(
-    params: NetworkParams,
-    drop: FemtoDrop,
-    d_m: float,
-    rng: np.random.Generator | None,
-    rb: int = 0,
-) -> float:
-    """One draw of the macro UE SIR at range ``d_m`` from the MBS."""
-    if d_m <= 0:
-        raise ValueError("distance must be positive")
-    links = build_links(params)
-    if rng is None:
-        theta = 0.0
-        hq_s = 1.0
-        hq_i = np.ones(drop.n_faps)
-    else:
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        hq_s = float(_hq(rng, links.macro_to_outdoor.mu_db,
-                         links.macro_to_outdoor.sigma_db, None))
-        hq_i = _hq(rng, links.fap_to_outdoor.mu_db,
-                   links.fap_to_outdoor.sigma_db, drop.n_faps)
-    signal = _mbs_to_mue_coeff(params, links, d_m) * hq_s
-    interf = 0.0
-    if drop.n_faps:
-        ue = np.array([d_m * math.cos(theta), d_m * math.sin(theta)])
-        dist = np.linalg.norm(drop.fap_positions - ue, axis=1)
-        dist = np.maximum(dist, MIN_INTERFERER_DISTANCE_M)
-        coeff = _fap_interference_coeffs(params, links, drop, indoor_victim=False)
-        active = drop.fap_rb_masks[:, rb]
-        interf = float(np.sum(active * coeff * hq_i * dist**(-params.alpha_mf)))
-    if interf <= 0.0:
-        return math.inf
-    return signal / interf
+    n = sig.shape[0]
+    rb = rng.choice(rbs, size=n)
+    gamma = params.gamma_f if indoor else params.gamma_m
+    if drop.n_faps == 0:
+        return int(np.count_nonzero((fixed > 0.0) & (sig < gamma * fixed)))
+    link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
+    hq_i = _hq(rng, link, (n, drop.n_faps))
+    # per-FAP power x gains / fixed loss; the kernel applies fading and distance
+    p_mw = np.asarray(dbm_to_mw(drop.fap_powers_dbm))
+    p_coef = p_mw * params.g_f * params.g_u / link.phi
+    return int(_kernels.outage_count(
+        sig, fixed, hq_i, p_coef,
+        np.ascontiguousarray(drop.fap_positions[:, 0]),
+        np.ascontiguousarray(drop.fap_positions[:, 1]),
+        ux, uy, link.alpha / 2.0, drop.fap_rb_masks,
+        rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip))
 
 
 # -- batched estimation ------------------------------------------------------
@@ -269,15 +196,10 @@ def _map_drops(fn, n_drops: int) -> list:
     Each drop draws from its own stream and numpy releases the GIL in its
     random fills and array loops, so drops overlap; results come back in
     drop order.  The pool lives for this call only, so no thread outlives
-    it.  A process started by ``multiprocessing`` (a ``--jobs`` worker)
-    runs its drops serially, so that process and thread parallelism do
-    not multiply.  If a drop raises, or the caller is interrupted, the
-    drops not yet started are cancelled before the exception propagates.
+    it.  If a drop raises, or the caller is interrupted, the drops not yet
+    started are cancelled before the exception propagates.
     """
-    if multiprocessing.parent_process() is not None:
-        width = 1
-    else:
-        width = min(_usable_cpus(), n_drops)
+    width = min(_usable_cpus(), n_drops)
     if width <= 1:
         return [fn(k) for k in range(n_drops)]
     pool = ThreadPoolExecutor(max_workers=width,
@@ -306,49 +228,28 @@ def _simulate_drop_outages(
     serving_power_dbm: float | None,
     serving_prob: float = 1.0,
 ) -> int:
-    """Outage count over ``n_trials`` victim trials against one drop."""
-    indoor = tier == "femto"
+    """Outage count over ``n_trials`` victims at range ``d`` from the MBS,
+    each at a fresh uniform azimuth, against one drop."""
     theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
     ux = d * np.cos(theta)
     uy = d * np.sin(theta)
-    if indoor:
-        sig_link = links.serving_fap_to_indoor
-        sig = _fue_signal_coeff(params, links, serving_power_dbm) \
-            * _hq(rng, sig_link.mu_db, sig_link.sigma_db, n_trials)
-        macro_link = links.macro_to_indoor
-        fixed = _mbs_to_fue_coeff(params, links, d) \
-            * _hq(rng, macro_link.mu_db, macro_link.sigma_db, n_trials)
-        ilink = links.interfering_fap_to_indoor
-        gamma = params.gamma_f
-        alpha = params.alpha_ff
+    rbs = np.arange(params.n_rb)
+    if tier == "macro":
+        sig = _received(rng, params, links.macro_to_outdoor,
+                        params.p_m_subcarrier_dbm, params.g_m, d, n_trials)
+        return _victim_outages(params, links, drop, False, ux, uy, sig,
+                               np.zeros(n_trials), rbs, rng)
+    sig = _received(rng, params, links.serving_fap_to_indoor,
+                    serving_power_dbm, params.g_f, params.r_f, n_trials)
+    fixed = _received(rng, params, links.macro_to_indoor,
+                      params.p_m_subcarrier_dbm, params.g_m, d, n_trials)
+    if serving_prob < 1.0:
         # the victim's RB follows its serving femtocell's active set
-        if serving_prob >= 1.0:
-            rb = rng.integers(0, params.n_rb, n_trials)
-        else:
+        mask = rng.random(params.n_rb) < serving_prob
+        while not mask.any():
             mask = rng.random(params.n_rb) < serving_prob
-            while not mask.any():
-                mask = rng.random(params.n_rb) < serving_prob
-            rb = rng.choice(np.flatnonzero(mask), size=n_trials)
-    else:
-        sig_link = links.macro_to_outdoor
-        sig = _mbs_to_mue_coeff(params, links, d) \
-            * _hq(rng, sig_link.mu_db, sig_link.sigma_db, n_trials)
-        fixed = np.zeros(n_trials)
-        ilink = links.fap_to_outdoor
-        gamma = params.gamma_m
-        alpha = params.alpha_mf
-        rb = rng.integers(0, params.n_rb, n_trials)
-    if drop.n_faps == 0:
-        interf_pos = fixed > 0.0
-        return int(np.count_nonzero(interf_pos & (sig < gamma * fixed)))
-    hq_i = _hq(rng, ilink.mu_db, ilink.sigma_db, (n_trials, drop.n_faps))
-    p_coef = _fap_interference_coeffs(params, links, drop, indoor_victim=indoor)
-    return int(_kernels.outage_count(
-        sig, fixed, hq_i, p_coef,
-        np.ascontiguousarray(drop.fap_positions[:, 0]),
-        np.ascontiguousarray(drop.fap_positions[:, 1]),
-        ux, uy, alpha / 2.0, drop.fap_rb_masks,
-        rb.astype(np.int64), gamma, MIN_INTERFERER_DISTANCE_M**2, -1))
+        rbs = np.flatnonzero(mask)
+    return _victim_outages(params, links, drop, True, ux, uy, sig, fixed, rbs, rng)
 
 
 def estimate_op(
@@ -411,14 +312,12 @@ def estimate_op(
     # one task per (point, drop) pair, so the pool stays busy across points
     def drop_outages(i: int) -> int:
         j, k = divmod(i, n_drops)
-        pt = point_offset + j
-        rng = _drop_rng(seed, pt, k)
+        rng = _drop_rng(seed, point_offset + j, k)
         drop = drop_faps(
             params, region, rng,
             power_dist=None if regulation is not None else ctx.fap_power,
             regulation=regulation,
             min_radius=regulation.d_min_deploy if regulation is not None else 0.0,
-            seed=(seed, pt, k),
         )
         return _simulate_drop_outages(
             params, links, drop, tier, float(distances[j]), n_trials, rng,
@@ -461,15 +360,13 @@ def estimate_ase(
     se_f = math.log2(1.0 + params.gamma_f)
     se_m = math.log2(1.0 + params.gamma_m)
 
-    def drop_terms(k: int) -> tuple[float, int, int]:
+    def drop_terms(k: int) -> tuple[float, int]:
         rng = _drop_rng(seed, 0, k)
         drop = drop_faps(
             params, region, rng, regulation=regulation,
             power_dist=None if regulation is not None else ctx.fap_power,
-            min_radius=regulation.d_min_deploy if regulation is not None else 0.0,
-            seed=(seed, 0, k))
-        dist_mbs = drop.distances_to_mbs()
-        in_cell = np.flatnonzero(dist_mbs <= params.r_m)
+            min_radius=regulation.d_min_deploy if regulation is not None else 0.0)
+        in_cell = np.flatnonzero(drop.distances_to_mbs() <= params.r_m)
         # femto side: tagged subsample, unbiased via the count ratio
         density_success = 0.0
         if in_cell.size:
@@ -485,76 +382,47 @@ def estimate_ase(
                 density_success += activity * (succ / n_trials)
             density_success *= in_cell.size / n_tag
         # macro side: uniform victims in the cell
-        succ_m, n_m = _uniform_mue_success(params, links, drop, n_trials, rng)
-        return density_success, succ_m, n_m
+        return density_success, _uniform_mue_success(params, links, drop, n_trials, rng)
 
     # accumulate in drop order, so the sums do not depend on the thread count
     ase_f_acc = 0.0
     ase_m_acc = 0.0
     mue_outages = 0
-    mue_trials = 0
-    for density_success, succ_m, n_m in _map_drops(drop_terms, n_drops):
+    for density_success, succ_m in _map_drops(drop_terms, n_drops):
         ase_f_acc += density_success / cell_area * se_f
-        ase_m_acc += params.mue_density * (succ_m / n_m) * se_m
-        mue_outages += n_m - succ_m
-        mue_trials += n_m
+        ase_m_acc += params.mue_density * (succ_m / n_trials) * se_m
+        mue_outages += n_trials - succ_m
     ase_f = ase_f_acc / n_drops
     ase_m = ase_m_acc / n_drops
-    p, se = _pooled(mue_outages, mue_trials)
-    return SimResult(p, se, mue_trials, ase_f=ase_f, ase_m=ase_m,
+    p, se = _pooled(mue_outages, n_drops * n_trials)
+    return SimResult(p, se, n_drops * n_trials, ase_f=ase_f, ase_m=ase_m,
                      ase_total=ase_f + ase_m)
 
 
 def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng) -> int:
     """Success count for the edge UE of tagged FAP ``j``, conditional on
     the FAP transmitting (RBs drawn from its active set)."""
-    pos_j = drop.fap_positions[j]
-    d_j = float(np.hypot(pos_j[0], pos_j[1]))
+    x, y = drop.fap_positions[j]
     theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    ux = pos_j[0] + params.r_f * np.cos(theta)
-    uy = pos_j[1] + params.r_f * np.sin(theta)
-    sig_link = links.serving_fap_to_indoor
-    sig = _fue_signal_coeff(params, links, float(drop.fap_powers_dbm[j])) \
-        * _hq(rng, sig_link.mu_db, sig_link.sigma_db, n_trials)
-    macro_link = links.macro_to_indoor
+    ux = x + params.r_f * np.cos(theta)
+    uy = y + params.r_f * np.sin(theta)
+    sig = _received(rng, params, links.serving_fap_to_indoor,
+                    float(drop.fap_powers_dbm[j]), params.g_f, params.r_f, n_trials)
     # UEs of one femtocell share their access point's macro path loss
-    fixed = _mbs_to_fue_coeff(params, links, max(d_j, 1.0)) \
-        * _hq(rng, macro_link.mu_db, macro_link.sigma_db, n_trials)
-    rb = rng.choice(active_rbs, size=n_trials)
-    ilink = links.interfering_fap_to_indoor
-    hq_i = _hq(rng, ilink.mu_db, ilink.sigma_db, (n_trials, drop.n_faps))
-    p_coef = _fap_interference_coeffs(params, links, drop, indoor_victim=True)
-    outs = int(_kernels.outage_count(
-        sig, fixed, hq_i, p_coef,
-        np.ascontiguousarray(drop.fap_positions[:, 0]),
-        np.ascontiguousarray(drop.fap_positions[:, 1]),
-        ux, uy, params.alpha_ff / 2.0, drop.fap_rb_masks,
-        rb.astype(np.int64), params.gamma_f,
-        MIN_INTERFERER_DISTANCE_M**2, j))
-    return n_trials - outs
+    d_j = max(float(np.hypot(x, y)), 1.0)
+    fixed = _received(rng, params, links.macro_to_indoor,
+                      params.p_m_subcarrier_dbm, params.g_m, d_j, n_trials)
+    return n_trials - _victim_outages(params, links, drop, True, ux, uy, sig, fixed,
+                                      active_rbs, rng, skip=j)
 
 
-def _uniform_mue_success(params, links, drop, n_trials, rng) -> tuple[int, int]:
+def _uniform_mue_success(params, links, drop, n_trials, rng) -> int:
+    """Success count for macro UEs placed uniformly in the cell."""
     radius = params.r_m * np.sqrt(rng.random(n_trials))
     radius = np.maximum(radius, 1.0)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    ux = radius * np.cos(theta)
-    uy = radius * np.sin(theta)
-    sig_link = links.macro_to_outdoor
-    sig = _mbs_to_mue_coeff(params, links, radius) \
-        * _hq(rng, sig_link.mu_db, sig_link.sigma_db, n_trials)
-    fixed = np.zeros(n_trials)
-    rb = rng.integers(0, params.n_rb, n_trials)
-    if drop.n_faps == 0:
-        return n_trials, n_trials
-    ilink = links.fap_to_outdoor
-    hq_i = _hq(rng, ilink.mu_db, ilink.sigma_db, (n_trials, drop.n_faps))
-    p_coef = _fap_interference_coeffs(params, links, drop, indoor_victim=False)
-    outs = int(_kernels.outage_count(
-        sig, fixed, hq_i, p_coef,
-        np.ascontiguousarray(drop.fap_positions[:, 0]),
-        np.ascontiguousarray(drop.fap_positions[:, 1]),
-        ux, uy, params.alpha_mf / 2.0, drop.fap_rb_masks,
-        rb.astype(np.int64), params.gamma_m,
-        MIN_INTERFERER_DISTANCE_M**2, -1))
-    return n_trials - outs, n_trials
+    sig = _received(rng, params, links.macro_to_outdoor,
+                    params.p_m_subcarrier_dbm, params.g_m, radius, n_trials)
+    return n_trials - _victim_outages(
+        params, links, drop, False, radius * np.cos(theta), radius * np.sin(theta),
+        sig, np.zeros(n_trials), np.arange(params.n_rb), rng)

@@ -101,11 +101,19 @@ def test_cli_rejects_bad_sweep(tmp_path):
     assert rc == 2
 
 
-def test_parallel_jobs_match_sequential(tmp_path):
-    base = dict(preset="custom", n_drops=3, n_trials=60, seed=5)
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    run(ExperimentSpec(out_dir=seq, jobs=1, **base))
-    run(ExperimentSpec(out_dir=par, jobs=2, **base))
-    for path in sorted(seq.glob("*_sim_*.csv")):
-        assert path.read_bytes() == (par / path.name).read_bytes()
+@pytest.mark.parametrize("flag, count", [("--drops", "0"), ("--trials", "0"),
+                                         ("--drops", "-3"), ("--trials", "-1")])
+def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
+    rc = main(["run", "custom", flag, count, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{flag} must be a positive count" in capsys.readouterr().err
+    assert not (tmp_path / "custom_summary.json").exists()
+
+
+def test_zero_scale_is_not_replaced_by_the_preset_default(tmp_path):
+    # an explicit 0 reaches the estimator, which rejects it, instead of
+    # silently running the preset's default drops and trials
+    with pytest.raises(ValueError, match="n_drops and n_trials"):
+        run(ExperimentSpec(preset="custom", n_drops=0, out_dir=tmp_path))
+    assert ExperimentSpec(n_drops=0, n_trials=0).scale(100, 1000) == (0, 0)
+    assert ExperimentSpec().scale(100, 1000) == (100, 1000)

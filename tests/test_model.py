@@ -56,7 +56,10 @@ class TestPropagation:
         assert path_loss(links.serving_fap_to_indoor, 1.0) == pytest.approx(10**3.7, rel=1e-12)
 
     def test_loss_at_unit_distance_is_phi(self):
-        for link in build_links(NetworkParams()):
+        links = build_links(NetworkParams())
+        for link in (links.macro_to_outdoor, links.serving_fap_to_indoor,
+                     links.fap_to_outdoor, links.macro_to_indoor,
+                     links.interfering_fap_to_indoor):
             assert path_loss(link, 1.0) == pytest.approx(link.phi, rel=0)
 
     def test_wall_loss_consistency(self):

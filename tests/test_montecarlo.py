@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import os
 import pickle
@@ -14,14 +13,7 @@ import pytest
 from femtoshare import _kernels, montecarlo
 from femtoshare.analysis import BoundContext, femto_outage_lower_bound
 from femtoshare.model import NetworkParams, build_links, dbm_to_mw
-from femtoshare.montecarlo import (
-    FemtoDrop,
-    drop_faps,
-    estimate_ase,
-    estimate_op,
-    sample_sir_fue,
-    sample_sir_mue,
-)
+from femtoshare.montecarlo import FemtoDrop, drop_faps, estimate_ase, estimate_op
 from femtoshare.regulation import RegulationTable
 
 
@@ -76,20 +68,49 @@ class TestDropFaps:
             drop_faps(params30, 1000.0, np.random.default_rng(0))
 
 
-class TestSingleDrawSamplers:
-    def test_fue_infinite_sir_guard(self):
-        # MBS power low enough to underflow to zero milliwatts and an empty
-        # drop leave no interference: guarded as non-outage (inf)
-        params = NetworkParams(lambda_f=0.0, p_m_total_dbm=-3300.0)
-        drop = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
-        assert math.isinf(sample_sir_fue(params, drop, 500.0, -7.79, None))
+class _UnitDraws:
+    """Stands in for a numpy Generator: azimuth 0 (the victim sits on the
+    +x axis), unit fading and shadowing, and the first RB on offer."""
 
-    def test_mue_empty_drop_non_outage(self, params30):
-        drop = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
-        assert math.isinf(sample_sir_mue(params30, drop, 500.0, None))
+    def uniform(self, low, high, size=None):
+        return np.full(size, float(low))
+
+    def exponential(self, size=None):
+        return np.ones(size)
+
+    def lognormal(self, mean, sigma, size=None):
+        return np.ones(size)
+
+    def choice(self, a, size=None):
+        return np.full(size, a[0])
+
+
+def _with_targets(params, gamma):
+    """``params`` with both SIR targets set to the linear value ``gamma``."""
+    g_db = 10.0 * math.log10(gamma)
+    return params.replace(gamma_f_db=g_db, gamma_m_db=g_db)
+
+
+def _assert_flips_at(sir, outages_at):
+    """One victim is in outage just above its SIR as target, not just below."""
+    assert outages_at(sir * (1.0 - 1e-12)) == 0
+    assert outages_at(sir * (1.0 + 1e-12)) == 1
+
+
+def _one_victim(params, drop, tier, d, serving_dbm=None):
+    """Outage count of a single victim at (d, 0), with every gain at 1."""
+    return montecarlo._simulate_drop_outages(
+        params, build_links(params), drop, tier, d, 1, _UnitDraws(), serving_dbm)
+
+
+_EMPTY = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
+
+
+class TestSingleDrawSamplers:
+    """One victim and one unit draw of every gain, through the victim-batch
+    path, checked against hand-computed SIRs."""
 
     def test_fue_deterministic_single_interferer(self, params30):
-        # fading off, one interferer at a known distance: hand-computed SIR
         p = params30
         links = build_links(p)
         d = 800.0
@@ -101,9 +122,8 @@ class TestSingleDrawSamplers:
             / (links.macro_to_indoor.phi * d**4)
         i_fap = dbm_to_mw(-10.0) * p.g_f * p.g_u \
             / (links.interfering_fap_to_indoor.phi * 30.0**4)
-        expected = sig / (i_mbs + i_fap)
-        got = sample_sir_fue(p, drop, d, serving_dbm, None)
-        assert got == pytest.approx(expected, rel=1e-12)
+        _assert_flips_at(sig / (i_mbs + i_fap), lambda g: _one_victim(
+            _with_targets(p, g), drop, "femto", d, serving_dbm))
 
     def test_mue_deterministic_single_interferer(self, params30):
         p = params30
@@ -115,7 +135,8 @@ class TestSingleDrawSamplers:
             / (links.macro_to_outdoor.phi * d**4)
         i_fap = dbm_to_mw(-12.0) * p.g_f * p.g_u \
             / (links.fap_to_outdoor.phi * 50.0**4)
-        assert sample_sir_mue(p, drop, d, None) == pytest.approx(sig / i_fap, rel=1e-12)
+        _assert_flips_at(sig / i_fap, lambda g: _one_victim(
+            _with_targets(p, g), drop, "macro", d))
 
     def test_proximity_clamp(self, params30):
         # interferer on top of the victim clamps to the 1 m path distance
@@ -123,16 +144,41 @@ class TestSingleDrawSamplers:
         links = build_links(p)
         drop = FemtoDrop(np.array([[700.0, 0.0]]), np.array([-10.0]),
                          np.ones((1, 100), bool))
-        got = sample_sir_mue(p, drop, 700.0, None)
         sig = dbm_to_mw(p.p_m_subcarrier_dbm) * p.g_m * p.g_u \
             / (links.macro_to_outdoor.phi * 700.0**4)
         i_fap = dbm_to_mw(-10.0) * p.g_f * p.g_u / links.fap_to_outdoor.phi
-        assert got == pytest.approx(sig / i_fap, rel=1e-12)
+        _assert_flips_at(sig / i_fap, lambda g: _one_victim(
+            _with_targets(p, g), drop, "macro", 700.0))
 
     def test_rb_mask_respected(self, params30):
-        drop = FemtoDrop(np.array([[500.0, 100.0]]), np.array([0.0]),
-                         np.zeros((1, 100), bool))
-        assert math.isinf(sample_sir_mue(params30, drop, 500.0, None, rb=3))
+        # the interferer transmits in every RB but RB 3
+        p = params30
+        links = build_links(p)
+        masks = np.ones((1, 100), bool)
+        masks[0, 3] = False
+        drop = FemtoDrop(np.array([[500.0, 100.0]]), np.array([0.0]), masks)
+        sig = np.array([1e-12])
+        i_fap = dbm_to_mw(0.0) * p.g_f * p.g_u / (links.fap_to_outdoor.phi * 100.0**4)
+
+        def outages(gamma, rb):
+            return montecarlo._victim_outages(
+                _with_targets(p, gamma), links, drop, False,
+                np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
+                np.array([rb]), _UnitDraws())
+
+        _assert_flips_at(sig[0] / i_fap, lambda g: outages(g, 2))
+        assert outages(sig[0] / i_fap * 1e6, 3) == 0
+
+    def test_mue_empty_drop_non_outage(self, params30):
+        assert _one_victim(_with_targets(params30, 1e30), _EMPTY, "macro", 500.0) == 0
+
+    def test_fue_infinite_sir_guard(self):
+        # MBS power low enough to underflow to zero milliwatts and an empty
+        # drop leave no interference at all: no outage at any target
+        params = NetworkParams(lambda_f=0.0, p_m_total_dbm=-3300.0)
+        assert dbm_to_mw(params.p_m_subcarrier_dbm) == 0.0
+        assert _one_victim(_with_targets(params, 1e30), _EMPTY, "femto", 500.0,
+                           -7.79) == 0
 
 
 class TestKernels:
@@ -277,6 +323,39 @@ class TestEstimateAse:
         assert res.ase_total == pytest.approx(res.ase_f + res.ase_m, rel=1e-12)
 
 
+# Outage counts of a small run per (mode, tier), at 700 m and 1000 m, and
+# (ase_f, ase_m, macro outages) of estimate_ase at N_F = 30 and 100.  They
+# pin the random-stream layout: which draws each drop makes, and in what
+# order.  A change that alters them changes every simulated curve; it must
+# update these values and say why in CHANGES.md.
+_PINNED_COUNTS = {
+    ("validation", "femto"): [8, 4],
+    ("validation", "macro"): [36, 63],
+    ("regulated", "femto"): [33, 32],
+    ("regulated", "macro"): [37, 28],
+}
+_PINNED_ASE = {
+    30.0: (3.051965038998137e-05, 5.975800365806534e-05, 7),
+    100.0: (1.3027705118586428e-05, 6.221381202757487e-05, 4),
+}
+
+
+def test_random_stream_layout_is_pinned():
+    params = NetworkParams.from_expected_fap_count(30)
+    for (mode, tier), counts in _PINNED_COUNTS.items():
+        res = estimate_op(params, tier, [700.0, 1000.0], n_drops=6, n_trials=50,
+                          seed=11, mode=mode)
+        assert [r.n_trials for r in res] == [300, 300]
+        assert [round(r.op_estimate * r.n_trials) for r in res] == counts, (mode, tier)
+    for nf, (ase_f, ase_m, outages) in _PINNED_ASE.items():
+        res = estimate_ase(NetworkParams.from_expected_fap_count(nf), n_drops=4,
+                           n_trials=20, seed=11)
+        assert res.n_trials == 80
+        assert round(res.op_estimate * res.n_trials) == outages
+        assert res.ase_f == pytest.approx(ase_f, rel=1e-12)
+        assert res.ase_m == pytest.approx(ase_m, rel=1e-12)
+
+
 _ESTIMATES = """
 import femtoshare as fs
 
@@ -372,18 +451,3 @@ def test_a_failing_drop_cancels_the_drops_not_yet_started(monkeypatch):
     # the four threads had started a few drops each, not the 4000 queued
     assert len(started) < 100
     assert threading.active_count() == before
-
-
-def _drop_thread_names(n_drops):
-    return montecarlo._map_drops(
-        lambda k: threading.current_thread().name, n_drops)
-
-
-def test_multiprocessing_worker_runs_its_drops_serially(monkeypatch):
-    # a --jobs worker must not start a drop pool of its own on top of the
-    # process fan-out
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    assert set(_drop_thread_names(8)) != {"MainThread"}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as ex:
-        names = ex.submit(_drop_thread_names, 8).result()
-    assert names == ["MainThread"] * 8
