@@ -78,6 +78,7 @@ class BoundContext:
     comp_fap_indoor: LognormalDist     # interfering FAP -> indoor UE
     comp_macro_outdoor: LognormalDist  # MBS -> outdoor UE
     comp_fap_outdoor: LognormalDist    # interfering FAP -> outdoor UE
+    ratio_dist: LognormalDist          # serving / macro-indoor composite ratio
 
     @classmethod
     def from_params(
@@ -96,15 +97,19 @@ class BoundContext:
         [macro-edge minimum power, per-subcarrier cap].
         """
         links = build_links(params)
+        comp_serving = composite_fading_shadowing(
+            links.serving_fap_to_indoor.mu_db, links.serving_fap_to_indoor.sigma_db)
+        comp_macro_indoor = composite_fading_shadowing(
+            links.macro_to_indoor.mu_db, links.macro_to_indoor.sigma_db)
+        ratio = LognormalDist(comp_serving.loc - comp_macro_indoor.loc,
+                              math.hypot(comp_serving.scale, comp_macro_indoor.scale))
         if serving_total_dbm is None:
             serving_total_dbm = params.p_f_max_total_dbm
         serving_dbm = per_subcarrier_power(serving_total_dbm, params.n_subcarriers)
         if interferer_max_dbm is None:
             interferer_max_dbm = params.p_f_max_subcarrier_dbm
         if interferer_min_dbm is None:
-            interferer_min_dbm = _power_floor_macro_only_dbm(
-                params, links, params.r_m, params.eps_f
-            )
+            interferer_min_dbm = _power_floor_macro_only_dbm(params, links, ratio, params.r_m)
         return cls(
             params=params,
             links=links,
@@ -112,10 +117,8 @@ class BoundContext:
             p_f_serving_dbm=serving_dbm,
             laguerre=make_rule(Kind.LAGUERRE, laguerre_order),
             hermite=make_rule(Kind.HERMITE, hermite_order),
-            comp_serving=composite_fading_shadowing(
-                links.serving_fap_to_indoor.mu_db, links.serving_fap_to_indoor.sigma_db),
-            comp_macro_indoor=composite_fading_shadowing(
-                links.macro_to_indoor.mu_db, links.macro_to_indoor.sigma_db),
+            comp_serving=comp_serving,
+            comp_macro_indoor=comp_macro_indoor,
             comp_fap_indoor=composite_fading_shadowing(
                 links.interfering_fap_to_indoor.mu_db,
                 links.interfering_fap_to_indoor.sigma_db),
@@ -123,6 +126,7 @@ class BoundContext:
                 links.macro_to_outdoor.mu_db, links.macro_to_outdoor.sigma_db),
             comp_fap_outdoor=composite_fading_shadowing(
                 links.fap_to_outdoor.mu_db, links.fap_to_outdoor.sigma_db),
+            ratio_dist=ratio,
         )
 
     def with_serving_power_dbm(self, p_dbm: float) -> "BoundContext":
@@ -143,14 +147,6 @@ class BoundContext:
     @property
     def p_serving_mw(self) -> float:
         return float(dbm_to_mw(self.p_f_serving_dbm))
-
-    @property
-    def ratio_dist(self) -> LognormalDist:
-        """Distribution of the serving/macro composite-channel ratio."""
-        return LognormalDist(
-            self.comp_serving.loc - self.comp_macro_indoor.loc,
-            math.hypot(self.comp_serving.scale, self.comp_macro_indoor.scale),
-        )
 
     # Computed once per context: cached_property stores into the instance
     # __dict__, which a frozen dataclass allows.
@@ -194,18 +190,14 @@ def femto_outage_macro_only(ctx: BoundContext, d):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet, d, eps: float):
+def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
+                                ratio: LognormalDist, d):
     """Per-subcarrier serving power making the macro-only femto outage
-    equal ``eps`` at range ``d`` (closed form); elementwise over an array
-    ``d``."""
+    equal ``eps_f`` at range ``d`` (closed form); elementwise over an array
+    ``d``.  ``ratio`` is the context's ``ratio_dist``."""
+    eps = params.eps_f
     if not (0 < eps < 1):
         raise ValueError("outage target must lie in (0, 1)")
-    comp_serving = composite_fading_shadowing(
-        links.serving_fap_to_indoor.mu_db, links.serving_fap_to_indoor.sigma_db)
-    comp_macro = composite_fading_shadowing(
-        links.macro_to_indoor.mu_db, links.macro_to_indoor.sigma_db)
-    ratio = LognormalDist(comp_serving.loc - comp_macro.loc,
-                          math.hypot(comp_serving.scale, comp_macro.scale))
     p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
     num = p_m_mw * params.g_m * links.serving_fap_to_indoor.phi \
         * params.r_f**params.alpha_f * params.gamma_f

@@ -16,9 +16,9 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "DB_TO_LN",
@@ -156,7 +156,10 @@ class LognormalDist:
         if self.scale == 0.0:
             out = (lx >= self.loc).astype(float)
         else:
-            out = ndtr((lx - self.loc) / self.scale)
+            # the standard normal CDF, 0.5 erfc(-z / sqrt 2), by libm's erfc
+            # per value: the package passes a few dozen values at a time
+            z = np.ravel((lx - self.loc) / self.scale * -math.sqrt(0.5)).tolist()
+            out = 0.5 * np.array([math.erfc(v) for v in z]).reshape(x.shape)
         out = np.where(x <= 0, 0.0, out)
         return float(out) if out.ndim == 0 else out
 
@@ -164,7 +167,8 @@ class LognormalDist:
         p = np.asarray(p, dtype=float)
         if np.any((p <= 0) | (p >= 1)):
             raise ValueError("quantile level must lie in (0, 1)")
-        out = np.exp(self.loc + self.scale * ndtri(p))
+        z = [NormalDist().inv_cdf(v) for v in np.ravel(p).tolist()]
+        out = np.exp(self.loc + self.scale * np.reshape(z, p.shape))
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):

@@ -17,10 +17,11 @@ signal, fixed interference, the RBs they may use) and hands it to
 :func:`_victim_outages`, the one path from a drop plus victims to an
 outage count and the only caller of the outage kernel.
 
-Drops run on a pool of threads as wide as the CPUs this process may use.
-Each drop draws from its own ``(seed, point, drop)`` stream and the
-per-drop results are combined in drop order, so every estimate is the
-same, bit for bit, on any CPU count.
+Drops run on a pool of threads as wide as the CPUs this process may use,
+capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
+draws from its own ``(seed, point, drop)`` stream and the per-drop results
+are combined in drop order, so every estimate is the same, bit for bit,
+on any CPU count.
 """
 
 from __future__ import annotations
@@ -183,15 +184,27 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
 # -- batched estimation ------------------------------------------------------
 
 
+# Memory the running drops' (trial, FAP) float64 arrays may take in all.
+# A drop holds about 17 MB at 1000 trials and 900 FAPs, so one thread per
+# CPU would peak near 1.2 GB on 64 CPUs.
+_POOL_BUDGET_BYTES = 256 * 2**20
+# (trial, FAP) float64 arrays alive at once in one drop: the fading draw
+# and the numpy kernel's path-gain and y-offset buffers.
+_LIVE_TRIAL_FAP_ARRAYS = 3
+
+
 def _drop_rng(seed: int, point: int, drop_idx: int) -> np.random.Generator:
     """Independent stream per (sweep point, drop): scheduling-invariant."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed, point, drop_idx))))
 
 
-def _map_drops(fn, n_drops: int) -> list:
+def _map_drops(fn, n_drops: int, n_trials: int, n_faps: float) -> list:
     """``[fn(k) for k in range(n_drops)]``, run on a pool of threads as wide
-    as the CPUs this process may use (serially where that is one).
+    as the CPUs this process may use (serially where that is one), but no
+    wider than keeps the drops' (trial, FAP) arrays within
+    ``_POOL_BUDGET_BYTES``, for ``n_trials`` victims and ``n_faps``
+    expected FAPs per drop.
 
     Each drop draws from its own stream and numpy releases the GIL in its
     random fills and array loops, so drops overlap; results come back in
@@ -199,7 +212,8 @@ def _map_drops(fn, n_drops: int) -> list:
     it.  If a drop raises, or the caller is interrupted, the drops not yet
     started are cancelled before the exception propagates.
     """
-    width = min(_usable_cpus(), n_drops)
+    drop_bytes = max(1.0, n_trials * n_faps * 8 * _LIVE_TRIAL_FAP_ARRAYS)
+    width = min(_usable_cpus(), n_drops, max(1, int(_POOL_BUDGET_BYTES // drop_bytes)))
     if width <= 1:
         return [fn(k) for k in range(n_drops)]
     pool = ThreadPoolExecutor(max_workers=width,
@@ -323,7 +337,8 @@ def estimate_op(
             params, links, drop, tier, float(distances[j]), n_trials, rng,
             *serving[j])
 
-    counts = _map_drops(drop_outages, len(distances) * n_drops)
+    counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
+                        params.lambda_f * math.pi * region**2)
     results = []
     for j in range(len(distances)):
         outages = sum(counts[j * n_drops:(j + 1) * n_drops])
@@ -388,7 +403,8 @@ def estimate_ase(
     ase_f_acc = 0.0
     ase_m_acc = 0.0
     mue_outages = 0
-    for density_success, succ_m in _map_drops(drop_terms, n_drops):
+    for density_success, succ_m in _map_drops(drop_terms, n_drops, n_trials,
+                                              params.lambda_f * math.pi * region**2):
         ase_f_acc += density_success / cell_area * se_f
         ase_m_acc += params.mue_density * (succ_m / n_trials) * se_m
         mue_outages += n_trials - succ_m

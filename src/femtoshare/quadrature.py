@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = ["Kind", "QuadratureRule", "make_rule", "integrate"]
 
@@ -62,7 +61,8 @@ def _orthonormal_values(diag, off, mu0, x):
 def make_rule(kind: Kind, order: int) -> QuadratureRule:
     """Build the rule of the given kind and order (1..64).
 
-    Nodes are Jacobi-matrix eigenvalues, polished by one Newton step on the
+    Nodes are the eigenvalues of the dense Jacobi matrix (numpy's
+    ``eigvalsh``; the order is at most 64), polished by Newton steps on the
     orthonormal degree-``order`` polynomial; weights come from the
     Christoffel function (reciprocal sum of squared orthonormal values),
     which keeps them accurate where eigenvector components degrade.
@@ -82,7 +82,7 @@ def make_rule(kind: Kind, order: int) -> QuadratureRule:
         raise ValueError(f"unsupported rule kind: {kind!r}")
     if order == 1:
         return QuadratureRule(kind, order, diag.copy(), np.array([mu0]))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     for _ in range(2):
         p, dp = _orthonormal_values(diag, off, mu0, nodes)
         step = p[order] / dp[order]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analysis import (  # the public bounds stay importable from this module
     BoundContext,
@@ -50,9 +49,10 @@ _RTOL = 4.0 * np.finfo(float).eps
 _MAXITER = 200
 # Tolerance of the window-to-thinned onset distance, in meters.
 _ONSET_XTOL_M = 1e-6
-# Distances per femto-bound evaluation in the floor solve.  The bound holds
-# about eight (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but
-# 1.8 MB for a whole 192-point grid, which would raise peak memory.
+# Distances per femto-bound evaluation in the floor solve, and per round of
+# the window-to-thinned onset search.  The bound holds about eight
+# (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but 1.8 MB for
+# a whole 192-point grid, which would raise peak memory.
 _FLOOR_BLOCK = 32
 
 # Default back-off above the window's power floor.  The floor is calibrated
@@ -112,7 +112,7 @@ def min_serving_power_dbm(ctx: BoundContext) -> float:
     """Smallest per-subcarrier power letting a cell-edge femtocell meet its
     outage constraint against macro interference alone."""
     p = ctx.params
-    return _power_floor_macro_only_dbm(p, ctx.links, p.r_m, p.eps_f)
+    return _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, p.r_m)
 
 
 def min_deployment_distance(ctx: BoundContext) -> float:
@@ -120,7 +120,7 @@ def min_deployment_distance(ctx: BoundContext) -> float:
     this, even the capped power misses the femto outage constraint."""
     p = ctx.params
     # Invert the macro-only outage in distance at the power cap.
-    floor_at_rm = _power_floor_macro_only_dbm(p, ctx.links, p.r_m, p.eps_f)
+    floor_at_rm = _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, p.r_m)
     cap = p.p_f_max_subcarrier_dbm
     # floor(d) = floor(r_m) * (r_m/d)^alpha_fm in linear power
     ratio_db = floor_at_rm - cap
@@ -134,7 +134,7 @@ def power_floor_approx_dbm(ctx: BoundContext, d: float) -> float:
     if d <= 0:
         raise ValueError("distance must be positive")
     p = ctx.params
-    return _power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f)
+    return _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)
 
 
 def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
@@ -152,7 +152,7 @@ def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
             out[blk] = _femto_bound(ctx, d[idx[blk]], p_mw[blk], p.lambda_f)[2]
         return out - p.eps_f
 
-    lo = _power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f)   # excess >= 0 by construction
+    lo = _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)  # excess >= 0 there
     feasible = excess(np.full(d.shape, cap), np.arange(d.size)) <= 0.0
     floor = np.full(d.shape, cap)
     solve = np.flatnonzero(feasible & (lo < cap))
@@ -267,7 +267,7 @@ def _window_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, lb_method: st
         # the exact floor peeks over the cap; it is pinned to the cap there.
         lb = _floor_exact_dbm(ctx, d)[0]
     elif lb_method == "approx":
-        lb = np.minimum(_power_floor_macro_only_dbm(p, ctx.links, d, p.eps_f), cap)
+        lb = np.minimum(_power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d), cap)
     else:
         raise ValueError(f"unknown lb_method: {lb_method!r}")
     if lambda_f <= 0:
@@ -327,6 +327,23 @@ def decide(
                               Mode.THINNED, tx)
 
 
+def _thinned_onset(ctx: BoundContext, lo: float, hi: float, lambda_f: float,
+                   lb_method: str, min_dbm: float) -> float:
+    """Distance where the window first closes in ``[lo, hi]``, given that it
+    is open at ``lo`` and closed at ``hi``.  Each round evaluates the window
+    at ``_FLOOR_BLOCK`` interior points and keeps the first closed point and
+    its open neighbour, until the bracket is narrower than ``_ONSET_XTOL_M``.
+    The onset is the closed end, so :func:`decide` thins there."""
+    lo, hi = float(lo), float(hi)
+    while hi - lo > _ONSET_XTOL_M:
+        pts = np.linspace(lo, hi, _FLOOR_BLOCK + 2)
+        lb, ub = _window_dbm(ctx, pts[1:-1], lambda_f, lb_method, min_dbm)
+        # the first closed point, or the right end when every inner one is open
+        k = 1 + int(np.argmax(np.append(lb > ub, True)))
+        lo, hi = float(pts[k - 1]), float(pts[k])
+    return hi
+
+
 @dataclass(frozen=True)
 class RegulationTable:
     """Vectorized view of :func:`decide` over a distance grid.
@@ -380,16 +397,6 @@ class RegulationTable:
         elif thinned[0]:
             onset = d_min
         else:
-            # the first window->thinned switch, as a root of floor - window
-            # top between grid neighbors; positive exactly where decide thins
-            def gap(d: float) -> float:
-                lb_d, ub_d = _window_dbm(ctx, np.array([d]), lambda_f, lb_method, min_dbm)
-                return float(lb_d[0] - ub_d[0])
-
             k = int(np.argmax(thinned))
-            onset = brentq(gap, grid[k - 1], grid[k], xtol=_ONSET_XTOL_M)
-            step = _ONSET_XTOL_M
-            while gap(onset) <= 0.0:   # the root estimate may sit on the window side
-                onset = min(onset + step, float(grid[k]))
-                step *= 2.0
+            onset = _thinned_onset(ctx, grid[k - 1], grid[k], lambda_f, lb_method, min_dbm)
         return cls(d_min, onset, rho, grid, tx)

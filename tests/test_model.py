@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from femtoshare.model import (
     DB_TO_LN,
@@ -171,6 +172,22 @@ class TestLognormalDist:
         dist = LognormalDist(loc, scale)
         x = dist.median * math.exp(k * scale)  # spans six scales around the median
         assert dist.quantile(dist.cdf(x)) == pytest.approx(x, rel=1e-9)
+
+    def test_cdf_and_quantile_against_scipy(self):
+        # scipy's normal CDF and quantile are the oracles; the package
+        # computes them with math.erfc and statistics.NormalDist
+        loc, scale = 0.7, 1.3
+        dist = LognormalDist(loc, scale)
+        z = np.linspace(-8.0, 8.0, 1601)
+        x = np.exp(loc + scale * z)
+        np.testing.assert_allclose(dist.cdf(x), ndtr((np.log(x) - loc) / scale),
+                                   rtol=1e-13)
+        p = ndtr(z)
+        np.testing.assert_allclose(dist.quantile(p), np.exp(loc + scale * ndtri(p)),
+                                   rtol=1e-13)
+        assert dist.cdf(float(x[400])) == pytest.approx(float(ndtr(-4.0)), rel=1e-13)
+        assert dist.quantile(0.1) == pytest.approx(
+            math.exp(loc + scale * float(ndtri(0.1))), rel=1e-13)
 
     def test_quantile_domain(self):
         dist = LognormalDist(0.0, 1.0)

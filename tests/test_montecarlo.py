@@ -447,7 +447,28 @@ def test_a_failing_drop_cancels_the_drops_not_yet_started(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="drop 0 failed"):
-        montecarlo._map_drops(drop, 4000)
+        montecarlo._map_drops(drop, 4000, 1, 1.0)
     # the four threads had started a few drops each, not the 4000 queued
     assert len(started) < 100
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_trials, width", [(80, 64), (1000, 12)])
+def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, width):
+    # 64 usable CPUs, but the pool is only asked for its width: two real
+    # threads run the drops, and the drops themselves are stubbed out
+    widths = []
+
+    class RecordingPool(montecarlo.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers=2, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "_simulate_drop_outages", lambda *a, **k: 0)
+    params = NetworkParams.from_expected_fap_count(100)
+    estimate_op(params, "macro", [500.0], n_drops=64, n_trials=n_trials, seed=1)
+    # about 900 expected FAPs in the drop region: 1000 trials hold 21.6 MB
+    # of (trial, FAP) arrays per drop, so 12 drops fit in 256 MiB
+    assert widths == [width]

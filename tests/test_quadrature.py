@@ -55,16 +55,17 @@ def test_monomial_exactness_to_degree_2k_minus_1(kind, order):
             assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_order_12_against_reference_tables():
-    # independent oracle: numpy's Golub-Welsch tables
-    lag = make_rule(Kind.LAGUERRE, 12)
-    x, w = np.polynomial.laguerre.laggauss(12)
-    np.testing.assert_allclose(lag.nodes, x, rtol=1e-10)
-    np.testing.assert_allclose(lag.weights, w, rtol=1e-9)
-    herm = make_rule(Kind.HERMITE, 12)
-    x, w = np.polynomial.hermite.hermgauss(12)
-    np.testing.assert_allclose(herm.nodes, x, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(herm.weights, w, rtol=1e-9)
+def test_orders_against_reference_tables():
+    # independent oracle: numpy's companion-matrix tables, up to the top order
+    for order in (2, 5, 12, 24, 31, 48, 64):
+        lag = make_rule(Kind.LAGUERRE, order)
+        x, w = np.polynomial.laguerre.laggauss(order)
+        np.testing.assert_allclose(lag.nodes, x, rtol=1e-10)
+        np.testing.assert_allclose(lag.weights, w, rtol=1e-9)
+        herm = make_rule(Kind.HERMITE, order)
+        x, w = np.polynomial.hermite.hermgauss(order)
+        np.testing.assert_allclose(herm.nodes, x, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(herm.weights, w, rtol=1e-9)
 
 
 def test_integrate_reference_values():

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import femtoshare
 from femtoshare.analysis import (
     BoundContext,
     femto_outage_lower_bound,
@@ -301,3 +306,27 @@ class TestRegulationTable:
         dense = RegulationTable.build(ctx100)
         assert dense.d_thinned_onset == dense.d_min_deploy  # thinned everywhere
         assert dense.rho == pytest.approx(0.145, abs=0.01)
+
+
+_SCIPY_FREE = """
+import math, sys
+import femtoshare as fs
+
+ctx = fs.BoundContext.from_params(fs.NetworkParams.from_expected_fap_count(60.0))
+table = fs.RegulationTable.build(ctx, d_max=3000.0)
+assert table.d_min_deploy < table.d_thinned_onset < math.inf
+dist = fs.LognormalDist(0.7, 1.3)
+dist.cdf([0.5, 2.0])
+dist.quantile([0.1, 0.9])
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_package_runs_without_scipy():
+    # a fresh interpreter: this test module imports scipy as an oracle
+    env = dict(os.environ)
+    src = str(Path(femtoshare.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_FREE], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    assert done.stdout.strip() == "[]"
