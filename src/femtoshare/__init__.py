@@ -21,7 +21,6 @@ from .model import (
     dump_scenario,
     fap_power_distribution,
     load_scenario,
-    path_loss,
     per_subcarrier_power,
 )
 from .montecarlo import (
@@ -31,7 +30,7 @@ from .montecarlo import (
     estimate_ase,
     estimate_op,
 )
-from .quadrature import Kind, QuadratureRule, integrate, make_rule
+from .quadrature import Kind, QuadratureRule, make_rule
 from .regulation import (
     InfeasibleError,
     Mode,

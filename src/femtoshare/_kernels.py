@@ -1,10 +1,9 @@
 """Hot Monte-Carlo reduction kernels.
 
 The per-trial interference sum over every access point is the simulator's
-largest cost after the fading draw.  It is compiled with numba when
-available; setting the environment variable ``FEMTOSHARE_NO_NUMBA=1`` (or a
-failed numba import) selects a vectorized pure-numpy fallback.  Both paths
-compute the same reduction; only float summation order differs.  Both
+largest cost after the fading draw.  It is compiled with numba when numba
+imports, and runs as a vectorized pure-numpy fallback otherwise.  Both
+paths compute the same reduction; only float summation order differs.  Both
 release the GIL (the compiled kernel is built with ``nogil=True``; numpy
 does in its array loops), so the drop threads of
 :mod:`femtoshare.montecarlo` overlap in it.
@@ -12,11 +11,9 @@ does in its array loops), so the drop threads of
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["USE_NUMBA", "outage_count", "outage_count_numpy"]
+__all__ = ["USE_NUMBA", "outage_count"]
 
 
 def _numpy_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
@@ -60,21 +57,11 @@ def _loop_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
     return count
 
 
-def _want_numba() -> bool:
-    return os.environ.get("FEMTOSHARE_NO_NUMBA", "").strip() not in ("1", "true", "yes")
-
-
-USE_NUMBA = False
-outage_count_numpy = _numpy_outage_count
-
-if _want_numba():
-    try:
-        from numba import njit
-
-        outage_count = njit(_loop_outage_count, cache=True, fastmath=False,
-                             nogil=True)
-        USE_NUMBA = True
-    except ImportError:  # numba is an optional extra; this is the default without it
-        outage_count = _numpy_outage_count
-else:
+try:
+    from numba import njit
+except ImportError:  # numba is an optional extra; this is the default without it
+    USE_NUMBA = False
     outage_count = _numpy_outage_count
+else:
+    outage_count = njit(_loop_outage_count, cache=True, fastmath=False, nogil=True)
+    USE_NUMBA = True

@@ -114,6 +114,8 @@ def _ordering_check(name: str, bound: Curve, sim: Curve) -> dict:
 
 def _monotone_check(name: str, curve: Curve, direction: str) -> dict:
     diffs = np.diff(curve.value)
+    if not diffs.size:
+        return _check(name, True, "fewer than two points")
     if direction == "decreasing":
         ok = bool(np.all(diffs <= 1e-12))
         worst = float(diffs.max())

@@ -32,11 +32,9 @@ __all__ = [
     "composite_fading_shadowing",
     "fap_power_distribution",
     "per_subcarrier_power",
-    "path_loss",
     "dbm_to_mw",
     "mw_to_dbm",
     "db_to_linear",
-    "linear_to_db",
     "load_scenario",
     "dump_scenario",
 ]
@@ -71,13 +69,6 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("linear factor must be positive")
-    return 10.0 * np.log10(x)
-
-
 def per_subcarrier_power(total_dbm: float, n_subcarriers: int) -> float:
     """Total power split evenly over OFDMA subcarriers, in dBm."""
     if n_subcarriers < 1:
@@ -110,15 +101,6 @@ class PropagationLink:
             raise ValueError("shadowing std must be non-negative")
 
 
-def path_loss(link: PropagationLink, d):
-    """Linear path loss ``phi * d**alpha`` of a link at range ``d`` meters."""
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    out = link.phi * d**link.alpha
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class LognormalDist:
     """Lognormal distribution with natural-log location and scale.
@@ -132,14 +114,6 @@ class LognormalDist:
     def __post_init__(self):
         if self.scale < 0:
             raise ValueError("scale must be non-negative")
-
-    @classmethod
-    def from_db(cls, mu_db: float, sigma_db: float) -> "LognormalDist":
-        """Distribution of a linear factor whose dB value is N(mu_db, sigma_db^2)."""
-        return cls(DB_TO_LN * mu_db, DB_TO_LN * sigma_db)
-
-    # dBm-valued powers map to mW the same way dB factors map to linear.
-    from_dbm = from_db
 
     @property
     def median(self) -> float:
@@ -173,12 +147,6 @@ class LognormalDist:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.lognormal(self.loc, self.scale, size)
-
-    def scaled(self, factor: float) -> "LognormalDist":
-        """Distribution of ``factor * X`` for a positive constant factor."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return LognormalDist(self.loc + math.log(factor), self.scale)
 
 
 def composite_fading_shadowing(mu_db: float, sigma_db: float) -> LognormalDist:
@@ -258,7 +226,6 @@ class NetworkParams:
     n_rb: int = 100
     subcarriers_per_rb: int = 12
     n_mue_per_cell: int = 100
-    n_fue_per_femtocell: int = 2
 
     def __post_init__(self):
         if not (0 < self.r_f < self.r_m):

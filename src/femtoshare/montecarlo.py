@@ -2,7 +2,7 @@
 
 Femtocell positions follow a Poisson point process over a disc large
 enough that truncation is immaterial for victims anywhere inside the
-macrocell (``drop_region_factor`` times the cell radius).  Fading and
+macrocell (``DROP_REGION_FACTOR`` times the cell radius).  Fading and
 shadowing are drawn per trial and per link: Rayleigh power (unit-mean
 exponential) times lognormal shadowing, sampled separately rather than
 through the composite lognormal fit used by the analytic bounds.
@@ -50,6 +50,10 @@ __all__ = [
 # distance: the power law diverges at 0 and sub-meter proximity has
 # negligible probability under the scenario intensities.
 MIN_INTERFERER_DISTANCE_M = 1.0
+# Radius of the FAP drop region, in cell radii.
+DROP_REGION_FACTOR = 3.0
+# In-cell femtocells per drop whose edge UEs the ASE estimate samples.
+TAGGED_FAPS_PER_DROP = 24
 
 
 @dataclass(frozen=True)
@@ -274,11 +278,6 @@ def estimate_op(
     n_trials: int = 1000,
     seed: int = 0,
     mode: str = "validation",
-    serving_total_dbm: float | None = None,
-    interferer_min_dbm: float | None = None,
-    drop_region_factor: float = 3.0,
-    lb_method: str = "exact",
-    power_policy: str = "margin",
     point_offset: int = 0,
 ) -> list[SimResult]:
     """Empirical downlink outage probability per victim distance.
@@ -300,21 +299,16 @@ def estimate_op(
     distances = np.atleast_1d(np.asarray(distances, dtype=float))
     if np.any(distances <= 0):
         raise ValueError("distances must be positive")
-    ctx = BoundContext.from_params(
-        params,
-        serving_total_dbm=serving_total_dbm,
-        interferer_min_dbm=interferer_min_dbm,
-    )
-    region = drop_region_factor * params.r_m
+    ctx = BoundContext.from_params(params)
+    region = DROP_REGION_FACTOR * params.r_m
     links = ctx.links
     regulation = None
     if mode == "regulated":
-        regulation = RegulationTable.build(
-            ctx, d_max=region, lb_method=lb_method, power_policy=power_policy)
+        regulation = RegulationTable.build(ctx, d_max=region)
     serving = []
     for d in distances:
         if mode == "regulated" and tier == "femto":
-            dec = decide(ctx, float(d), lb_method=lb_method, power_policy=power_policy)
+            dec = decide(ctx, float(d))
             if dec.mode is Mode.EXCLUDED:
                 raise ValueError(
                     f"femtocells cannot be deployed at d={d:.1f} m "
@@ -352,25 +346,23 @@ def estimate_ase(
     n_drops: int = 40,
     n_trials: int = 200,
     seed: int = 0,
-    tagged_faps_per_drop: int = 24,
-    drop_region_factor: float = 3.0,
-    lb_method: str = "exact",
-    power_policy: str = "margin",
 ) -> SimResult:
     """Area spectral efficiency (b/s/Hz/m^2) under self-regulation.
 
     Per drop, the femto term averages per-RB transmission density times
-    conditional success over a tagged subsample of in-cell femtocells; the
-    macro term averages success over macro UEs placed uniformly in the
-    cell.  ``op_estimate`` reports the pooled macro outage probability.
+    conditional success over ``TAGGED_FAPS_PER_DROP`` tagged in-cell
+    femtocells (all of them when fewer); the macro term averages success
+    over macro UEs placed uniformly in the cell.  ``op_estimate`` reports
+    the pooled macro outage probability.
     """
+    if n_drops < 1 or n_trials < 1:
+        raise ValueError("n_drops and n_trials must be >= 1")
     ctx = BoundContext.from_params(params)
     links = ctx.links
-    region = drop_region_factor * params.r_m
+    region = DROP_REGION_FACTOR * params.r_m
     regulation = None
     if params.lambda_f > 0:
-        regulation = RegulationTable.build(
-            ctx, d_max=region, lb_method=lb_method, power_policy=power_policy)
+        regulation = RegulationTable.build(ctx, d_max=region)
     cell_area = math.pi * params.r_m**2
     se_f = math.log2(1.0 + params.gamma_f)
     se_m = math.log2(1.0 + params.gamma_m)
@@ -385,7 +377,7 @@ def estimate_ase(
         # femto side: tagged subsample, unbiased via the count ratio
         density_success = 0.0
         if in_cell.size:
-            n_tag = min(tagged_faps_per_drop, in_cell.size)
+            n_tag = min(TAGGED_FAPS_PER_DROP, in_cell.size)
             tagged = rng.choice(in_cell, size=n_tag, replace=False)
             for j in tagged:
                 active_rbs = np.flatnonzero(drop.fap_rb_masks[j])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["Kind", "QuadratureRule", "make_rule", "integrate"]
+__all__ = ["Kind", "QuadratureRule", "make_rule"]
 
 MAX_ORDER = 64
 
@@ -92,16 +92,3 @@ def make_rule(kind: Kind, order: int) -> QuadratureRule:
     p, _ = _orthonormal_values(diag, off, mu0, nodes)
     weights = 1.0 / np.sum(p[:order] ** 2, axis=0)
     return QuadratureRule(kind, order, nodes, weights)
-
-
-def integrate(rule: QuadratureRule, f) -> float:
-    """Weighted integral of ``f`` against the rule's weight function.
-
-    ``f`` must accept an ndarray of nodes and return finite values there.
-    """
-    vals = np.asarray(f(rule.nodes), dtype=float)
-    if vals.shape != rule.nodes.shape:
-        vals = np.broadcast_to(vals, rule.nodes.shape)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("integrand is not finite at all quadrature nodes")
-    return float(np.dot(rule.weights, vals))

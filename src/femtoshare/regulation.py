@@ -52,10 +52,12 @@ _ONSET_XTOL_M = 1e-6
 # Distances per femto-bound evaluation in the floor solve, and per round of
 # the window-to-thinned onset search.  The bound holds about eight
 # (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but 1.8 MB for
-# a whole 192-point grid, which would raise peak memory.
+# a whole table grid, which would raise peak memory.
 _FLOOR_BLOCK = 32
+# Distances of a regulation table's grid.
+_TABLE_POINTS = 192
 
-# Default back-off above the window's power floor.  The floor is calibrated
+# Back-off above the window's power floor.  The floor is calibrated
 # against a lower bound of the femto outage, so transmitting exactly at it
 # leaves the realized outage above the target by the bound's gap (~0.004
 # at the reference scenario's outer distances); half a dB covers that gap
@@ -176,7 +178,7 @@ def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     return float(floor[0])
 
 
-def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, min_dbm: float):
+def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
     """Power ceilings over an array of distances for interferer powers
     spread up from ``min_dbm``, and the mask of the distances where some
     ceiling on the admissible branch meets the macro constraint.
@@ -185,7 +187,7 @@ def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, min_dbm: flo
 
     def deficit(max_dbm, idx):   # non-increasing in the ceiling
         loc, scale = _fap_power_ln(np.minimum(min_dbm, max_dbm), np.maximum(min_dbm, max_dbm))
-        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale, lambda_f)
+        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale, p.lambda_f)
 
     # left end of the branch on which the macro bound increases with the
     # ceiling (the variance term dominates further down)
@@ -204,7 +206,7 @@ def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, min_dbm: flo
     return ceiling, feasible
 
 
-def power_ceiling_dbm(ctx: BoundContext, d: float, lambda_f: float | None = None) -> float:
+def power_ceiling_dbm(ctx: BoundContext, d: float) -> float:
     """Largest admissible maximum FAP power at range ``d``: interferer
     powers spread between the fixed edge minimum and this ceiling drive
     the macro outage bound exactly to its constraint.
@@ -217,19 +219,16 @@ def power_ceiling_dbm(ctx: BoundContext, d: float, lambda_f: float | None = None
     p = ctx.params
     if d <= 0:
         raise ValueError("distance must be positive")
-    if lambda_f is None:
-        lambda_f = p.lambda_f
-    if lambda_f <= 0:
+    if p.lambda_f <= 0:
         raise ValueError("lambda_f must be positive")
-    ceiling, feasible = _ceiling_dbm(
-        ctx, np.array([float(d)]), lambda_f, min_serving_power_dbm(ctx))
+    ceiling, feasible = _ceiling_dbm(ctx, np.array([float(d)]), min_serving_power_dbm(ctx))
     if not feasible[0]:
         raise InfeasibleError(
             f"macro outage constraint unreachable at d={d:.1f} m for any power ceiling")
     return float(ceiling[0])
 
 
-def rb_access_probability(ctx: BoundContext, lambda_f: float | None = None) -> float:
+def rb_access_probability(ctx: BoundContext) -> float:
     """Per-resource-block transmission probability of the self-regulation
     strategy.
 
@@ -239,9 +238,7 @@ def rb_access_probability(ctx: BoundContext, lambda_f: float | None = None) -> f
     keep the floor power with the macro edge constraint intact.
     """
     p = ctx.params
-    if lambda_f is None:
-        lambda_f = p.lambda_f
-    ceiling_edge = power_ceiling_dbm(ctx, p.r_m, lambda_f)
+    ceiling_edge = power_ceiling_dbm(ctx, p.r_m)
     floor_edge = min_serving_power_dbm(ctx)
     if ceiling_edge >= floor_edge:
         return 1.0
@@ -256,79 +253,46 @@ def rb_access_probability(ctx: BoundContext, lambda_f: float | None = None) -> f
     return min(rho, 1.0)
 
 
-def _window_dbm(ctx: BoundContext, d: np.ndarray, lambda_f: float, lb_method: str,
-                min_dbm: float):
-    """Power floor and window top (the ceiling, capped) over an array of
-    distances at or past the minimum deployment distance."""
-    p = ctx.params
-    cap = p.p_f_max_subcarrier_dbm
-    if lb_method == "exact":
-        # In the boundary sliver just above the minimum deployment distance
-        # the exact floor peeks over the cap; it is pinned to the cap there.
-        lb = _floor_exact_dbm(ctx, d)[0]
-    elif lb_method == "approx":
-        lb = np.minimum(_power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d), cap)
-    else:
-        raise ValueError(f"unknown lb_method: {lb_method!r}")
-    if lambda_f <= 0:
+def _window_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
+    """Exact power floor and window top (the ceiling, capped) over an array
+    of distances at or past the minimum deployment distance."""
+    cap = ctx.params.p_f_max_subcarrier_dbm
+    # In the boundary sliver just above the minimum deployment distance the
+    # exact floor peeks over the cap; it is pinned to the cap there.
+    lb = _floor_exact_dbm(ctx, d)[0]
+    if ctx.params.lambda_f <= 0:
         return lb, np.full(d.shape, cap)
-    ceiling, feasible = _ceiling_dbm(ctx, d, lambda_f, min_dbm)
+    ceiling, feasible = _ceiling_dbm(ctx, d, min_dbm)
     if not feasible.all():
         raise InfeasibleError("macro outage constraint unreachable at "
                               f"d={d[~feasible][0]:.1f} m for any power ceiling")
     return lb, np.minimum(ceiling, cap)
 
 
-def _tx_power_dbm(lb, ub, power_policy: str):
-    """Transmit power inside an open window (``lb <= ub``) per
-    ``power_policy``; the floor itself where the window is closed."""
-    if power_policy == "margin":
-        tx = np.minimum(lb + WINDOW_FLOOR_MARGIN_DB, ub)
-    elif power_policy == "lower":
-        tx = lb
-    elif power_policy == "upper":
-        tx = ub
-    elif power_policy == "midpoint":
-        tx = 0.5 * (lb + ub)
-    else:
-        raise ValueError(f"unknown power_policy: {power_policy!r}")
-    return np.where(lb <= ub, tx, lb)
+def _tx_power_dbm(lb, ub):
+    """Transmit power: the floor plus ``WINDOW_FLOOR_MARGIN_DB``, capped at
+    the window top, inside an open window (``lb <= ub``); the floor itself
+    where the window is closed."""
+    return np.where(lb <= ub, np.minimum(lb + WINDOW_FLOOR_MARGIN_DB, ub), lb)
 
 
-def decide(
-    ctx: BoundContext,
-    d: float,
-    lambda_f: float | None = None,
-    lb_method: str = "exact",
-    power_policy: str = "margin",
-) -> RegulationDecision:
-    """Self-regulation decision for a femtocell ``d`` meters from the MBS.
-
-    ``lb_method`` selects the exact power floor (root of the full femto
-    bound) or the closed-form approximation; ``power_policy`` picks the
-    transmit power inside an open window: ``margin`` (floor plus
-    ``WINDOW_FLOOR_MARGIN_DB``, capped at the window top; default),
-    ``lower``, ``midpoint``, or ``upper``.
-    """
+def decide(ctx: BoundContext, d: float) -> RegulationDecision:
+    """Self-regulation decision for a femtocell ``d`` meters from the MBS:
+    the exact power floor and the window top at ``d``, and RB thinning to
+    :func:`rb_access_probability` where the window is closed."""
     if d <= 0:
         raise ValueError("distance must be positive")
-    p = ctx.params
-    if lambda_f is None:
-        lambda_f = p.lambda_f
     if d < min_deployment_distance(ctx):
         return RegulationDecision(d, math.nan, math.nan, 0.0, Mode.EXCLUDED, math.nan)
-    lb, ub = _window_dbm(ctx, np.array([float(d)]), lambda_f, lb_method,
-                         min_serving_power_dbm(ctx))
-    tx = float(_tx_power_dbm(lb, ub, power_policy)[0])
+    lb, ub = _window_dbm(ctx, np.array([float(d)]), min_serving_power_dbm(ctx))
+    tx = float(_tx_power_dbm(lb, ub)[0])
     lb, ub = float(lb[0]), float(ub[0])
     if lb <= ub:
         return RegulationDecision(d, lb, ub, 1.0, Mode.WINDOW, tx)
-    return RegulationDecision(d, lb, ub, rb_access_probability(ctx, lambda_f),
-                              Mode.THINNED, tx)
+    return RegulationDecision(d, lb, ub, rb_access_probability(ctx), Mode.THINNED, tx)
 
 
-def _thinned_onset(ctx: BoundContext, lo: float, hi: float, lambda_f: float,
-                   lb_method: str, min_dbm: float) -> float:
+def _thinned_onset(ctx: BoundContext, lo: float, hi: float, min_dbm: float) -> float:
     """Distance where the window first closes in ``[lo, hi]``, given that it
     is open at ``lo`` and closed at ``hi``.  Each round evaluates the window
     at ``_FLOOR_BLOCK`` interior points and keeps the first closed point and
@@ -337,7 +301,7 @@ def _thinned_onset(ctx: BoundContext, lo: float, hi: float, lambda_f: float,
     lo, hi = float(lo), float(hi)
     while hi - lo > _ONSET_XTOL_M:
         pts = np.linspace(lo, hi, _FLOOR_BLOCK + 2)
-        lb, ub = _window_dbm(ctx, pts[1:-1], lambda_f, lb_method, min_dbm)
+        lb, ub = _window_dbm(ctx, pts[1:-1], min_dbm)
         # the first closed point, or the right end when every inner one is open
         k = 1 + int(np.argmax(np.append(lb > ub, True)))
         lo, hi = float(pts[k - 1]), float(pts[k])
@@ -371,26 +335,15 @@ class RegulationTable:
         return tx, prob, deployed
 
     @classmethod
-    def build(
-        cls,
-        ctx: BoundContext,
-        lambda_f: float | None = None,
-        d_max: float | None = None,
-        n_points: int = 192,
-        lb_method: str = "exact",
-        power_policy: str = "margin",
-    ) -> "RegulationTable":
-        p = ctx.params
-        if lambda_f is None:
-            lambda_f = p.lambda_f
+    def build(cls, ctx: BoundContext, d_max: float | None = None) -> "RegulationTable":
         if d_max is None:
-            d_max = p.r_m
+            d_max = ctx.params.r_m
         d_min = min_deployment_distance(ctx)
         min_dbm = min_serving_power_dbm(ctx)
-        grid = np.geomspace(d_min, max(d_max, d_min * 1.001), n_points)
-        lb, ub = _window_dbm(ctx, grid, lambda_f, lb_method, min_dbm)
-        tx = _tx_power_dbm(lb, ub, power_policy)
-        rho = rb_access_probability(ctx, lambda_f)
+        grid = np.geomspace(d_min, max(d_max, d_min * 1.001), _TABLE_POINTS)
+        lb, ub = _window_dbm(ctx, grid, min_dbm)
+        tx = _tx_power_dbm(lb, ub)
+        rho = rb_access_probability(ctx)
         thinned = lb > ub
         if not thinned.any():
             onset = math.inf
@@ -398,5 +351,5 @@ class RegulationTable:
             onset = d_min
         else:
             k = int(np.argmax(thinned))
-            onset = _thinned_onset(ctx, grid[k - 1], grid[k], lambda_f, lb_method, min_dbm)
+            onset = _thinned_onset(ctx, grid[k - 1], grid[k], min_dbm)
         return cls(d_min, onset, rho, grid, tx)

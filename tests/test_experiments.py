@@ -113,7 +113,18 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
 def test_zero_scale_is_not_replaced_by_the_preset_default(tmp_path):
     # an explicit 0 reaches the estimator, which rejects it, instead of
     # silently running the preset's default drops and trials
-    with pytest.raises(ValueError, match="n_drops and n_trials"):
-        run(ExperimentSpec(preset="custom", n_drops=0, out_dir=tmp_path))
+    for bad in (dict(preset="custom", n_drops=0), dict(preset="fig7", n_drops=0),
+                dict(preset="fig7", n_trials=0)):
+        with pytest.raises(ValueError, match="n_drops and n_trials"):
+            run(ExperimentSpec(out_dir=tmp_path, **bad))
     assert ExperimentSpec(n_drops=0, n_trials=0).scale(100, 1000) == (0, 0)
     assert ExperimentSpec().scale(100, 1000) == (100, 1000)
+
+
+def test_fig2_single_femtocell_count(tmp_path):
+    # one point per curve: the monotonicity checks hold vacuously
+    summary = run(ExperimentSpec(preset="fig2", nf_values=(30.0,), n_drops=2,
+                                 n_trials=20, out_dir=tmp_path))
+    monotone = [c for c in summary["checks"] if "_nondecreasing_in_nf_" in c["name"]]
+    assert len(monotone) == 4
+    assert all(c["passed"] and c["detail"] == "fewer than two points" for c in monotone)

@@ -18,12 +18,11 @@ from femtoshare.model import (
     dbm_to_mw,
     dump_scenario,
     fap_power_distribution,
-    linear_to_db,
     load_scenario,
     mw_to_dbm,
-    path_loss,
     per_subcarrier_power,
 )
+from femtoshare.montecarlo import _received
 
 
 def test_db_to_ln_constant():
@@ -49,19 +48,30 @@ class TestPropagation:
         links = build_links(NetworkParams())
         # direct evaluation of the fixed-loss formula at f_c = 2000 MHz
         expected = 10 ** (-7.1) * 2000.0**3
-        assert path_loss(links.macro_to_outdoor, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert linear_to_db(expected) == pytest.approx(28.03, abs=0.01)
+        assert links.macro_to_outdoor.phi == pytest.approx(expected, rel=1e-12)
+        assert 10.0 * math.log10(expected) == pytest.approx(28.03, abs=0.01)
 
     def test_indoor_link_fixed_loss(self):
         links = build_links(NetworkParams())
-        assert path_loss(links.serving_fap_to_indoor, 1.0) == pytest.approx(10**3.7, rel=1e-12)
+        assert links.serving_fap_to_indoor.phi == pytest.approx(10**3.7, rel=1e-12)
 
     def test_loss_at_unit_distance_is_phi(self):
-        links = build_links(NetworkParams())
+        # the simulator's received power at 1 m, with unit fading and
+        # shadowing, is the transmitted power over phi
+        class UnitDraws:
+            def exponential(self, size=None):
+                return np.ones(size)
+
+            def lognormal(self, mean, sigma, size=None):
+                return np.ones(size)
+
+        params = NetworkParams()
+        links = build_links(params)
         for link in (links.macro_to_outdoor, links.serving_fap_to_indoor,
                      links.fap_to_outdoor, links.macro_to_indoor,
                      links.interfering_fap_to_indoor):
-            assert path_loss(link, 1.0) == pytest.approx(link.phi, rel=0)
+            got = _received(UnitDraws(), params, link, 0.0, 1.0, 1.0, 1)
+            assert got[0] == pytest.approx(1.0 / link.phi, rel=1e-15)
 
     def test_wall_loss_consistency(self):
         params = NetworkParams(xi_db=10.0)
@@ -72,18 +82,6 @@ class TestPropagation:
         assert links.macro_to_indoor.phi / phi_m == pytest.approx(xi, rel=1e-12)
         assert links.fap_to_outdoor.phi / phi_f == pytest.approx(xi, rel=1e-12)
         assert links.interfering_fap_to_indoor.phi / phi_f == pytest.approx(xi**2, rel=1e-12)
-
-    def test_invalid_distance(self):
-        links = build_links(NetworkParams())
-        with pytest.raises(ValueError):
-            path_loss(links.macro_to_outdoor, 0.0)
-        with pytest.raises(ValueError):
-            path_loss(links.macro_to_outdoor, -5.0)
-
-    def test_distance_vectorized(self):
-        link = build_links(NetworkParams()).macro_to_outdoor
-        d = np.array([1.0, 10.0, 100.0])
-        np.testing.assert_allclose(path_loss(link, d), link.phi * d**4.0, rtol=1e-14)
 
 
 class TestCompositeFit:
@@ -194,10 +192,6 @@ class TestLognormalDist:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 dist.quantile(bad)
-
-    def test_scaled(self):
-        dist = LognormalDist(0.2, 0.5)
-        assert dist.scaled(4.0).median == pytest.approx(4.0 * dist.median, rel=1e-12)
 
 
 class TestNetworkParams:

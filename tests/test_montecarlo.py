@@ -216,19 +216,28 @@ class TestKernels:
     def test_numba_and_numpy_paths_agree(self):
         for seed in range(5):
             args = self._case(seed)
-            assert _kernels.outage_count(*args) == _kernels.outage_count_numpy(*args)
+            assert _kernels.outage_count(*args) == _kernels._numpy_outage_count(*args)
             # Without numba the assertion above compares the numpy path with
             # itself, so also run the loop numba compiles as plain Python.
             # At p_scale=1e9 the access points interfere as much as the fixed
             # term does, so the per-FAP sum decides the outages.
             loud = self._case(seed, p_scale=1e9)
-            assert _kernels._loop_outage_count(*loud) == _kernels.outage_count_numpy(*loud)
+            assert _kernels._loop_outage_count(*loud) == _kernels._numpy_outage_count(*loud)
+
+    def test_use_numba_exactly_when_numba_imports(self):
+        try:
+            import numba  # noqa: F401
+        except ImportError:
+            imports = False
+        else:
+            imports = True
+        assert _kernels.USE_NUMBA is imports
 
     def test_against_python_reference(self):
         args = self._case(123, n_trials=20, n_fap=5)
         count = self._reference_count(*args)
         assert _kernels.outage_count(*args) == count
-        assert _kernels.outage_count_numpy(*args) == count
+        assert _kernels._numpy_outage_count(*args) == count
 
     @pytest.mark.parametrize("skip", [-1, 2])
     @pytest.mark.parametrize("all_active", [False, True])
@@ -243,7 +252,7 @@ class TestKernels:
         silent[3] = np.zeros_like(args[3])
         assert count > self._reference_count(*silent)
         assert _kernels.outage_count(*args) == count
-        assert _kernels.outage_count_numpy(*args) == count
+        assert _kernels._numpy_outage_count(*args) == count
 
 
 class TestEstimateOp:

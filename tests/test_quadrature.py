@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from femtoshare.quadrature import Kind, integrate, make_rule
+from femtoshare.quadrature import Kind, make_rule
 
 
 def test_one_point_laguerre():
@@ -70,18 +70,12 @@ def test_orders_against_reference_tables():
 
 def test_integrate_reference_values():
     herm12 = make_rule(Kind.HERMITE, 12)
-    assert integrate(herm12, lambda x: np.ones_like(x)) == pytest.approx(
+    assert herm12.weights @ np.ones_like(herm12.nodes) == pytest.approx(
         math.sqrt(math.pi), abs=1e-12)
-    assert integrate(herm12, lambda x: x**2) == pytest.approx(
+    assert herm12.weights @ herm12.nodes**2 == pytest.approx(
         math.sqrt(math.pi) / 2, rel=1e-9)
     lag12 = make_rule(Kind.LAGUERRE, 12)
-    assert integrate(lag12, lambda x: x) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_integrate_rejects_nonfinite():
-    lag = make_rule(Kind.LAGUERRE, 4)
-    with pytest.raises(ValueError):
-        integrate(lag, lambda x: np.where(x > 1, np.inf, 1.0))
+    assert lag12.weights @ lag12.nodes == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("order", [0, 65, -3])

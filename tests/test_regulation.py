@@ -147,8 +147,8 @@ class TestPowerCeiling:
         assert np.all(np.diff(ubs) < 0)
         assert ubs[-1] == pytest.approx(
             min(ubs), rel=0), "edge ceiling is the binding one"
-        assert power_ceiling_dbm(ctx30, 800.0, 2 * params30.lambda_f) \
-            < power_ceiling_dbm(ctx30, 800.0)
+        denser = BoundContext.from_params(params30.replace(lambda_f=2 * params30.lambda_f))
+        assert power_ceiling_dbm(denser, 800.0) < power_ceiling_dbm(ctx30, 800.0)
 
     def test_window_relations_match_density(self, ctx30, ctx100):
         # sparse field: ceiling clears the exact floor everywhere; dense
@@ -218,11 +218,10 @@ class TestDecide:
         assert dec.mode is Mode.WINDOW
         assert dec.transmit_prob == 1.0
         assert dec.p_lb_dbm <= dec.p_ub_dbm
-        # default policy: floor plus the fixed margin, inside the window
+        # floor plus the fixed margin, inside the window
         from femtoshare.regulation import WINDOW_FLOOR_MARGIN_DB
         assert dec.tx_power_dbm == pytest.approx(
             min(dec.p_lb_dbm + WINDOW_FLOOR_MARGIN_DB, dec.p_ub_dbm), abs=1e-12)
-        assert decide(ctx30, 600.0, power_policy="lower").tx_power_dbm == dec.p_lb_dbm
 
     def test_dense_field_thins(self, ctx100):
         dec = decide(ctx100, 600.0)
@@ -233,13 +232,14 @@ class TestDecide:
     def test_window_powers_respect_both_bounds(self, ctx30):
         p = ctx30.params
         d = 700.0
-        for policy in ("lower", "midpoint", "upper"):
-            dec = decide(ctx30, d, power_policy=policy)
-            assert dec.mode is Mode.WINDOW
+        dec = decide(ctx30, d)
+        assert dec.mode is Mode.WINDOW
+        # the floor, the midpoint and the top of the window
+        for tx in (dec.p_lb_dbm, 0.5 * (dec.p_lb_dbm + dec.p_ub_dbm), dec.p_ub_dbm):
             femto = femto_outage_lower_bound(
-                ctx30.with_serving_power_dbm(dec.tx_power_dbm), d).p_total_lb
+                ctx30.with_serving_power_dbm(tx), d).p_total_lb
             assert femto <= p.eps_f + 1e-9
-            lo, hi = sorted((min_serving_power_dbm(ctx30), dec.tx_power_dbm))
+            lo, hi = sorted((min_serving_power_dbm(ctx30), tx))
             macro = macro_outage_lower_bound(
                 ctx30.with_interferer_power(lo, hi), d)
             assert macro <= p.eps_m + 1e-9
@@ -253,10 +253,6 @@ class TestDecide:
     def test_bad_arguments(self, ctx30):
         with pytest.raises(ValueError):
             decide(ctx30, -5.0)
-        with pytest.raises(ValueError):
-            decide(ctx30, 600.0, lb_method="nope")
-        with pytest.raises(ValueError):
-            decide(ctx30, 600.0, power_policy="nope")
 
 
 class TestRegulationTable:
