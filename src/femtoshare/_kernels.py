@@ -3,7 +3,8 @@
 The per-trial interference sum over every access point is the simulator's
 largest cost after the fading draw.  It is compiled with numba when numba
 imports, and runs as a vectorized pure-numpy fallback otherwise.  Both
-paths compute the same reduction; only float summation order differs.  Both
+paths compute the same reduction, each path gain as ``hq / d2 ** (alpha/2)``
+(numpy squares at alpha = 4); only float summation order differs.  Both
 release the GIL (the compiled kernel is built with ``nogil=True``; numpy
 does in its array loops), so the drop threads of
 :mod:`femtoshare.montecarlo` overlap in it.
@@ -25,8 +26,8 @@ def _numpy_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
     np.square(dy, out=dy)
     gain += dy
     np.maximum(gain, min_d2, out=gain)
-    np.power(gain, -half_alpha, out=gain)
-    gain *= hq
+    np.power(gain, half_alpha, out=gain)
+    np.divide(hq, gain, out=gain)
     if not masks.all():
         gain *= masks[:, rb].T
     if skip >= 0:
@@ -51,7 +52,7 @@ def _loop_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
             d2 = dx * dx + dy * dy
             if d2 < min_d2:
                 d2 = min_d2
-            acc += p_coef[i] * hq[t, i] * d2 ** (-half_alpha)
+            acc += p_coef[i] * (hq[t, i] / d2 ** half_alpha)
         if acc > 0.0 and sig[t] < gamma * acc:
             count += 1
     return count

@@ -140,10 +140,13 @@ def drop_faps(
 
 
 def _hq(rng: np.random.Generator, link, size):
-    """Rayleigh-power fading times lognormal shadowing on ``link``, sampled
-    separately."""
-    out = rng.exponential(size=size)
-    out *= rng.lognormal(DB_TO_LN * link.mu_db, DB_TO_LN * link.sigma_db, size)
+    """Rayleigh-power fading times lognormal shadowing on ``link``, drawn from
+    the stream positions of ``exponential`` then ``lognormal`` (to 1 ulp)."""
+    out = rng.standard_exponential(size)
+    shadow = rng.standard_normal(size)
+    shadow *= DB_TO_LN * link.sigma_db
+    shadow += DB_TO_LN * link.mu_db
+    out *= np.exp(shadow, out=shadow)
     return out
 
 

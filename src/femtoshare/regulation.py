@@ -232,12 +232,14 @@ def rb_access_probability(ctx: BoundContext) -> float:
     """Per-resource-block transmission probability of the self-regulation
     strategy.
 
-    Returns 1.0 while the power window stays open everywhere (the ceiling
-    at the cell edge, where it is tightest, still clears the floor);
+    Returns 1.0 while the power window stays open everywhere (no femtocells,
+    or the ceiling at the cell edge, where it is tightest, clears the floor);
     otherwise the closed-form thinning factor that lets every access point
     keep the floor power with the macro edge constraint intact.
     """
     p = ctx.params
+    if p.lambda_f <= 0:
+        return 1.0
     ceiling_edge = power_ceiling_dbm(ctx, p.r_m)
     floor_edge = min_serving_power_dbm(ctx)
     if ceiling_edge >= floor_edge:

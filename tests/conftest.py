@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from femtoshare import BoundContext, NetworkParams
@@ -21,6 +22,24 @@ def ctx30(params30):
 @pytest.fixture(scope="session")
 def ctx100(params100):
     return BoundContext.from_params(params100)
+
+
+class UnitDraws:
+    """Stands in for a numpy Generator: azimuth 0 (the victim sits on the
+    +x axis), unit fading, shadowing at the link's mean (unit at the
+    scenario's 0 dB), and the first RB on offer."""
+
+    def uniform(self, low, high, size=None):
+        return np.full(size, float(low))
+
+    def standard_exponential(self, size=None):
+        return np.ones(size)
+
+    def standard_normal(self, size=None):
+        return np.zeros(size)
+
+    def choice(self, a, size=None):
+        return np.full(size, a[0])
 
 
 def pytest_terminal_summary(terminalreporter):

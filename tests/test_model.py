@@ -24,6 +24,8 @@ from femtoshare.model import (
 )
 from femtoshare.montecarlo import _received
 
+from conftest import UnitDraws
+
 
 def test_db_to_ln_constant():
     assert DB_TO_LN == pytest.approx(0.1 * math.log(10.0), rel=0, abs=0)
@@ -58,13 +60,6 @@ class TestPropagation:
     def test_loss_at_unit_distance_is_phi(self):
         # the simulator's received power at 1 m, with unit fading and
         # shadowing, is the transmitted power over phi
-        class UnitDraws:
-            def exponential(self, size=None):
-                return np.ones(size)
-
-            def lognormal(self, mean, sigma, size=None):
-                return np.ones(size)
-
         params = NetworkParams()
         links = build_links(params)
         for link in (links.macro_to_outdoor, links.serving_fap_to_indoor,

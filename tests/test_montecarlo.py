@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import os
 import pickle
@@ -12,9 +14,11 @@ import pytest
 
 from femtoshare import _kernels, montecarlo
 from femtoshare.analysis import BoundContext, femto_outage_lower_bound
-from femtoshare.model import NetworkParams, build_links, dbm_to_mw
+from femtoshare.model import DB_TO_LN, NetworkParams, build_links, dbm_to_mw
 from femtoshare.montecarlo import FemtoDrop, drop_faps, estimate_ase, estimate_op
 from femtoshare.regulation import RegulationTable
+
+from conftest import UnitDraws
 
 
 def _power_dist(params):
@@ -68,23 +72,6 @@ class TestDropFaps:
             drop_faps(params30, 1000.0, np.random.default_rng(0))
 
 
-class _UnitDraws:
-    """Stands in for a numpy Generator: azimuth 0 (the victim sits on the
-    +x axis), unit fading and shadowing, and the first RB on offer."""
-
-    def uniform(self, low, high, size=None):
-        return np.full(size, float(low))
-
-    def exponential(self, size=None):
-        return np.ones(size)
-
-    def lognormal(self, mean, sigma, size=None):
-        return np.ones(size)
-
-    def choice(self, a, size=None):
-        return np.full(size, a[0])
-
-
 def _with_targets(params, gamma):
     """``params`` with both SIR targets set to the linear value ``gamma``."""
     g_db = 10.0 * math.log10(gamma)
@@ -100,7 +87,7 @@ def _assert_flips_at(sir, outages_at):
 def _one_victim(params, drop, tier, d, serving_dbm=None):
     """Outage count of a single victim at (d, 0), with every gain at 1."""
     return montecarlo._simulate_drop_outages(
-        params, build_links(params), drop, tier, d, 1, _UnitDraws(), serving_dbm)
+        params, build_links(params), drop, tier, d, 1, UnitDraws(), serving_dbm)
 
 
 _EMPTY = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
@@ -164,7 +151,7 @@ class TestSingleDrawSamplers:
             return montecarlo._victim_outages(
                 _with_targets(p, gamma), links, drop, False,
                 np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
-                np.array([rb]), _UnitDraws())
+                np.array([rb]), UnitDraws())
 
         _assert_flips_at(sig[0] / i_fap, lambda g: outages(g, 2))
         assert outages(sig[0] / i_fap * 1e6, 3) == 0
@@ -181,21 +168,45 @@ class TestSingleDrawSamplers:
                            -7.79) == 0
 
 
+_LINK_NAMES = ("macro_to_outdoor", "serving_fap_to_indoor", "fap_to_outdoor",
+               "macro_to_indoor", "interfering_fap_to_indoor")
+
+
+@pytest.mark.parametrize("name", _LINK_NAMES)
+def test_fading_draw_takes_the_exponential_then_lognormal_stream(name):
+    # _hq draws what exponential(size) then lognormal(mu, sigma, size) would,
+    # from the same stream positions, up to 1 ulp of exp and the product
+    scenario = getattr(build_links(NetworkParams()), name)
+    for link in (scenario, dataclasses.replace(scenario, mu_db=-2.5)):
+        size = (40, 57)
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        got = montecarlo._hq(rng, link, size)
+        want = ref.exponential(size=size)
+        want *= ref.lognormal(DB_TO_LN * link.mu_db, DB_TO_LN * link.sigma_db, size)
+        np.testing.assert_array_equal(rng.random(4), ref.random(4))
+        np.testing.assert_allclose(got, want, rtol=4.5e-16, atol=0.0)
+
+
 class TestKernels:
-    def _case(self, seed, n_trials=64, n_fap=17, p_scale=1e-6, skip=2,
+    # Each test runs at both: 2.0 is the scenario's (alpha = 4), which numpy's
+    # power computes by its square fast path; 1.5 takes its general path.
+    _HALF_ALPHAS = (1.5, 2.0)
+
+    def _case(self, seed, half_alpha, n_trials=64, n_fap=17, p_scale=1e-6, skip=2,
               all_active=False):
         rng = np.random.default_rng(seed)
         sig = rng.exponential(size=n_trials)
         fixed = rng.exponential(size=n_trials) * 1e-3
         hq = rng.exponential(size=(n_trials, n_fap))
-        p_coef = rng.exponential(size=n_fap) * p_scale
+        # powers rescaled so that a 1 km path gain weighs as much as at 2.0
+        p_coef = rng.exponential(size=n_fap) * p_scale * 1e6 ** (half_alpha - 2.0)
         px, py = rng.normal(0, 800, n_fap), rng.normal(0, 800, n_fap)
         ux, uy = rng.normal(0, 500, n_trials), rng.normal(0, 500, n_trials)
         masks = rng.random((n_fap, 8)) < 0.6
         if all_active:
             masks[:] = True
         rb = rng.integers(0, 8, n_trials)
-        return (sig, fixed, hq, p_coef, px, py, ux, uy, 2.0, masks,
+        return (sig, fixed, hq, p_coef, px, py, ux, uy, half_alpha, masks,
                 rb.astype(np.int64), 3.0, 1.0, skip)
 
     @staticmethod
@@ -214,14 +225,14 @@ class TestKernels:
         return count
 
     def test_numba_and_numpy_paths_agree(self):
-        for seed in range(5):
-            args = self._case(seed)
+        for half_alpha, seed in itertools.product(self._HALF_ALPHAS, range(5)):
+            args = self._case(seed, half_alpha)
             assert _kernels.outage_count(*args) == _kernels._numpy_outage_count(*args)
             # Without numba the assertion above compares the numpy path with
             # itself, so also run the loop numba compiles as plain Python.
             # At p_scale=1e9 the access points interfere as much as the fixed
             # term does, so the per-FAP sum decides the outages.
-            loud = self._case(seed, p_scale=1e9)
+            loud = self._case(seed, half_alpha, p_scale=1e9)
             assert _kernels._loop_outage_count(*loud) == _kernels._numpy_outage_count(*loud)
 
     def test_use_numba_exactly_when_numba_imports(self):
@@ -234,10 +245,11 @@ class TestKernels:
         assert _kernels.USE_NUMBA is imports
 
     def test_against_python_reference(self):
-        args = self._case(123, n_trials=20, n_fap=5)
-        count = self._reference_count(*args)
-        assert _kernels.outage_count(*args) == count
-        assert _kernels._numpy_outage_count(*args) == count
+        for half_alpha in self._HALF_ALPHAS:
+            args = self._case(123, half_alpha, n_trials=20, n_fap=5)
+            count = self._reference_count(*args)
+            assert _kernels.outage_count(*args) == count
+            assert _kernels._numpy_outage_count(*args) == count
 
     @pytest.mark.parametrize("skip", [-1, 2])
     @pytest.mark.parametrize("all_active", [False, True])
@@ -245,14 +257,16 @@ class TestKernels:
         # Loud access points: their sum, not the fixed term, decides outages.
         # In this case skipping access point 2 and masking RBs each change
         # the count.  all_active takes the numpy path without the mask gather.
-        args = self._case(7, p_scale=1e9, skip=skip, all_active=all_active)
-        count = self._reference_count(*args)
-        assert 0 < count < 64
-        silent = list(args)
-        silent[3] = np.zeros_like(args[3])
-        assert count > self._reference_count(*silent)
-        assert _kernels.outage_count(*args) == count
-        assert _kernels._numpy_outage_count(*args) == count
+        for half_alpha in self._HALF_ALPHAS:
+            args = self._case(7, half_alpha, p_scale=1e9, skip=skip,
+                              all_active=all_active)
+            count = self._reference_count(*args)
+            assert 0 < count < 64
+            silent = list(args)
+            silent[3] = np.zeros_like(args[3])
+            assert count > self._reference_count(*silent)
+            assert _kernels.outage_count(*args) == count
+            assert _kernels._numpy_outage_count(*args) == count
 
 
 class TestEstimateOp:

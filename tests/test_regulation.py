@@ -303,6 +303,22 @@ class TestRegulationTable:
         assert dense.d_thinned_onset == dense.d_min_deploy  # thinned everywhere
         assert dense.rho == pytest.approx(0.145, abs=0.01)
 
+    def test_zero_intensity_is_an_open_window(self):
+        # no femtocells interfere: no thinning anywhere, and the table's
+        # powers are the decisions' (an open window topped by the cap)
+        ctx = BoundContext.from_params(NetworkParams(lambda_f=0.0))
+        assert rb_access_probability(ctx) == 1.0
+        table = RegulationTable.build(ctx, d_max=3000.0)
+        assert math.isinf(table.d_thinned_onset)
+        assert table.rho == 1.0
+        d = table.grid[[0, 60, 130, -1]]
+        tx, prob, deployed = table.query(d)
+        assert deployed.all() and (prob == 1.0).all()
+        for i, di in enumerate(d):
+            dec = decide(ctx, float(di))
+            assert dec.mode is Mode.WINDOW
+            assert tx[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
+
 
 _SCIPY_FREE = """
 import math, sys
