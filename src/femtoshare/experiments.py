@@ -241,8 +241,10 @@ def preset_fig4(spec: ExperimentSpec):
         c1 = Curve.analytic(f"fig4_power_ceiling_{tag}", grid, ceil)
         c2 = Curve.analytic(f"fig4_power_floor_exact_{tag}", grid, fl_ex)
         c3 = Curve.analytic(f"fig4_power_floor_approx_{tag}", grid, fl_ap)
-        curves += [c1, c2, c3]
-        for c in (c1, c2, c3):
+        # without femtocells the ceiling is infinite: no curve to draw
+        drawn = [c1, c2, c3] if params.lambda_f > 0 else [c2, c3]
+        curves += drawn
+        for c in drawn:
             checks.append(_monotone_check(f"{c.name}_decreasing", c, "decreasing"))
         if nf == 30.0:
             gap = float(np.abs(c2.value - c3.value).max())

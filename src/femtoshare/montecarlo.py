@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +222,9 @@ def _map_drops(fn, n_drops: int, n_trials: int, n_faps: float) -> list:
     width = min(_usable_cpus(), n_drops, max(1, int(_POOL_BUDGET_BYTES // drop_bytes)))
     if width <= 1:
         return [fn(k) for k in range(n_drops)]
+    # imported here, so that runs without drops skip its 0.6 MB (logging included)
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = ThreadPoolExecutor(max_workers=width,
                               thread_name_prefix="femtoshare-drop")
     try:

@@ -42,17 +42,16 @@ __all__ = [
     "WINDOW_FLOOR_MARGIN_DB",
 ]
 
-# Bisection tolerance in dB; far tighter than the 1e-3 dB the regulation
-# round-trip properties require.  The relative term is scipy's default.
+# Root tolerance in dB; far tighter than the 1e-3 dB the regulation
+# round-trip properties require.  The relative term is four ulps.
 _XTOL_DB = 1e-9
 _RTOL = 4.0 * np.finfo(float).eps
 _MAXITER = 200
 # Tolerance of the window-to-thinned onset distance, in meters.
 _ONSET_XTOL_M = 1e-6
-# Distances per femto-bound evaluation in the floor solve, and per round of
-# the window-to-thinned onset search.  The bound holds about eight
-# (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but 1.8 MB for
-# a whole table grid, which would raise peak memory.
+# Distances per femto-bound evaluation in the floor solve.  The bound holds
+# about eight (n, 12, 12) float64 temporaries: 0.3 MB at 32 distances, but
+# 1.8 MB for a whole table grid, which would raise peak memory.
 _FLOOR_BLOCK = 32
 # Distances of a regulation table's grid.
 _TABLE_POINTS = 192
@@ -86,28 +85,51 @@ class RegulationDecision:
     tx_power_dbm: float
 
 
-def _bisect(excess, lo, hi):
-    """Roots of ``excess`` in the brackets ``[lo[i], hi[i]]``, bisected in
-    lockstep with the steps and stopping rule of ``scipy.optimize.bisect``.
-    ``excess(x, idx)`` evaluates entries ``idx`` at ``x``; it must be
-    non-increasing and non-negative at ``lo``."""
-    x = np.array(np.broadcast_arrays(lo, hi)[0], dtype=float)
-    step = hi - x
-    root = np.empty_like(x)
-    idx = np.arange(x.size)
-    for _ in range(_MAXITER):
+def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
+    """Roots of the non-increasing ``f`` in ``[lo[i], hi[i]]`` by Chandrupatla's
+    method (inverse quadratic interpolation with a bisection safeguard; *Adv.
+    Eng. Software* 28(3), 1997) in lockstep, each element's iterates
+    depending on its own values only.  ``f(x, idx)`` evaluates elements
+    ``idx``; ``f_lo`` and ``f_hi`` are its values at the ends.  Returns both
+    evaluated ends ``(pos, neg)`` of the final brackets, ``f(pos) >= 0 >
+    f(neg)`` (0 counts as >= 0), closer than ``xtol + _RTOL·|x|``; where
+    ``f_lo < 0`` or ``f_hi >= 0`` that end is both.  Raises ValueError naming
+    ``d[i]`` where f is NaN, and RuntimeError after ``_MAXITER`` steps."""
+    x1, x2, f1, f2, d = (np.array(a, dtype=float, ndmin=1)
+                         for a in np.broadcast_arrays(lo, hi, f_lo, f_hi, d))
+    lo_far, hi_far = f1 < 0.0, f2 >= 0.0
+    x1, x2 = np.where(hi_far & ~lo_far, x2, x1), np.where(lo_far, x1, x2)
+    pos, neg = x1.copy(), x2.copy()
+    # x1 is the newest point, x2 the bracket's other end, x3 the one dropped;
+    # fx holds the newest values, at first NaN where either end's value is
+    x3, f3, fx, t, idx = x2, f2, f1 - f2, np.full(x1.size, 0.5), np.arange(x1.size)
+    for step in range(_MAXITER + 1):
+        if np.isnan(fx).any():
+            raise ValueError(f"outage bound is NaN at d={d[idx][np.isnan(fx)][0]:.6g} m")
+        tol = xtol + _RTOL * np.abs(np.where(np.abs(f1) < np.abs(f2), x1, x2))
+        dx = np.abs(x2 - x1)
+        keep = dx >= tol
+        x1, x2, x3, f1, f2, f3, t, tol, dx, idx = (
+            a[keep] for a in (x1, x2, x3, f1, f2, f3, t, tol, dx, idx))
         if not idx.size:
-            return root
-        step[idx] *= 0.5
-        mid = x[idx] + step[idx]
-        f = excess(mid, idx)
-        x[idx] = np.where(f >= 0.0, mid, x[idx])
-        done = (f == 0.0) | (np.abs(step[idx]) < _XTOL_DB + _RTOL * np.abs(mid))
-        root[idx[done]] = mid[done]
-        idx = idx[~done]
-    if idx.size:
-        raise RuntimeError(f"bisection did not converge in {_MAXITER} steps")
-    return root
+            return pos, neg
+        if step == _MAXITER:
+            break
+        t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = f(x, idx)
+        same = (fx >= 0.0) == (f1 >= 0.0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        pos[idx], neg[idx] = np.where(f1 >= 0.0, x1, x2), np.where(f1 >= 0.0, x2, x1)
+        # inverse quadratic interpolation where the three points allow it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+    raise RuntimeError(f"root solve did not converge in {_MAXITER} steps")
 
 
 def min_serving_power_dbm(ctx: BoundContext) -> float:
@@ -155,16 +177,18 @@ def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
         return out - p.eps_f
 
     lo = _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)  # excess >= 0 there
-    feasible = excess(np.full(d.shape, cap), np.arange(d.size)) <= 0.0
+    at_cap = excess(np.full(d.shape, cap), np.arange(d.size))
     floor = np.full(d.shape, cap)
-    solve = np.flatnonzero(feasible & (lo < cap))
-    floor[solve] = _bisect(lambda x, i: excess(x, solve[i]), lo[solve], cap)
-    return floor, feasible
+    solve = np.flatnonzero(lo < cap)
+    # the end where the femto bound lies under eps_f; the cap where none does
+    floor[solve] = _bracketed_root(lambda x, i: excess(x, solve[i]), lo[solve], cap,
+                                   excess(lo[solve], solve), at_cap[solve], d[solve])[1]
+    return floor, at_cap <= 0.0
 
 
 def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     """Power floor from the full femto outage lower bound (macro plus
-    femto interference), found by bracketed bisection in dBm.
+    femto interference), found by a bracketed root solve in dBm.
 
     Raises :class:`InfeasibleError` when no root lies at or below the
     per-subcarrier power cap.
@@ -182,8 +206,10 @@ def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
     """Power ceilings over an array of distances for interferer powers
     spread up from ``min_dbm``, and the mask of the distances where some
     ceiling on the admissible branch meets the macro constraint.
-    Elsewhere the ceiling reads NaN."""
+    Elsewhere the ceiling reads NaN.  Without femtocells it is infinite."""
     p = ctx.params
+    if p.lambda_f <= 0:   # no FAP can break the macro constraint
+        return np.full(d.shape, np.inf), np.ones(d.shape, dtype=bool)
 
     def deficit(max_dbm, idx):   # non-increasing in the ceiling
         loc, scale = _fap_power_ln(np.minimum(min_dbm, max_dbm), np.maximum(min_dbm, max_dbm))
@@ -192,17 +218,22 @@ def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
     # left end of the branch on which the macro bound increases with the
     # ceiling (the variance term dominates further down)
     lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
-    feasible = deficit(np.full(d.shape, lo), slice(None)) >= 0.0
+    at_lo = deficit(np.full(d.shape, lo), slice(None))
+    feasible = ~(at_lo < 0.0)   # a NaN goes on to the root solve, which names it
     hi = np.full(d.shape, max(min_dbm, p.p_f_max_subcarrier_dbm) + 60.0)
+    at_hi = np.empty(d.shape)
     grow = np.flatnonzero(feasible)
     while grow.size:
-        grow = grow[deficit(hi[grow], grow) > 0.0]
+        at_hi[grow] = deficit(hi[grow], grow)
+        grow = grow[at_hi[grow] > 0.0]
         hi[grow] += 60.0
         feasible[grow[hi[grow] > 1000.0]] = False   # the bound saturates below eps_m
         grow = grow[hi[grow] <= 1000.0]
     ceiling = np.full(d.shape, np.nan)
     solve = np.flatnonzero(feasible)
-    ceiling[solve] = _bisect(lambda x, i: deficit(x, solve[i]), lo, hi[solve])
+    # the end where the macro bound lies under eps_m
+    ceiling[solve] = _bracketed_root(lambda x, i: deficit(x, solve[i]), lo, hi[solve],
+                                     at_lo[solve], at_hi[solve], d[solve])[0]
     return ceiling, feasible
 
 
@@ -213,14 +244,12 @@ def power_ceiling_dbm(ctx: BoundContext, d: float) -> float:
 
     The root may fall below the minimum power (the spread then only enters
     through its square); it may also exceed the cap, in which case the cap
-    is not binding.  Raises :class:`InfeasibleError` when the constraint
-    cannot be met for any ceiling on the admissible branch.
+    is not binding; without femtocells it is ``inf``.  Raises
+    :class:`InfeasibleError` when the constraint cannot be met for any
+    ceiling on the admissible branch.
     """
-    p = ctx.params
     if d <= 0:
         raise ValueError("distance must be positive")
-    if p.lambda_f <= 0:
-        raise ValueError("lambda_f must be positive")
     ceiling, feasible = _ceiling_dbm(ctx, np.array([float(d)]), min_serving_power_dbm(ctx))
     if not feasible[0]:
         raise InfeasibleError(
@@ -238,8 +267,6 @@ def rb_access_probability(ctx: BoundContext) -> float:
     keep the floor power with the macro edge constraint intact.
     """
     p = ctx.params
-    if p.lambda_f <= 0:
-        return 1.0
     ceiling_edge = power_ceiling_dbm(ctx, p.r_m)
     floor_edge = min_serving_power_dbm(ctx)
     if ceiling_edge >= floor_edge:
@@ -262,8 +289,6 @@ def _window_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
     # In the boundary sliver just above the minimum deployment distance the
     # exact floor peeks over the cap; it is pinned to the cap there.
     lb = _floor_exact_dbm(ctx, d)[0]
-    if ctx.params.lambda_f <= 0:
-        return lb, np.full(d.shape, cap)
     ceiling, feasible = _ceiling_dbm(ctx, d, min_dbm)
     if not feasible.all():
         raise InfeasibleError("macro outage constraint unreachable at "
@@ -292,22 +317,6 @@ def decide(ctx: BoundContext, d: float) -> RegulationDecision:
     if lb <= ub:
         return RegulationDecision(d, lb, ub, 1.0, Mode.WINDOW, tx)
     return RegulationDecision(d, lb, ub, rb_access_probability(ctx), Mode.THINNED, tx)
-
-
-def _thinned_onset(ctx: BoundContext, lo: float, hi: float, min_dbm: float) -> float:
-    """Distance where the window first closes in ``[lo, hi]``, given that it
-    is open at ``lo`` and closed at ``hi``.  Each round evaluates the window
-    at ``_FLOOR_BLOCK`` interior points and keeps the first closed point and
-    its open neighbour, until the bracket is narrower than ``_ONSET_XTOL_M``.
-    The onset is the closed end, so :func:`decide` thins there."""
-    lo, hi = float(lo), float(hi)
-    while hi - lo > _ONSET_XTOL_M:
-        pts = np.linspace(lo, hi, _FLOOR_BLOCK + 2)
-        lb, ub = _window_dbm(ctx, pts[1:-1], min_dbm)
-        # the first closed point, or the right end when every inner one is open
-        k = 1 + int(np.argmax(np.append(lb > ub, True)))
-        lo, hi = float(pts[k - 1]), float(pts[k])
-    return hi
 
 
 @dataclass(frozen=True)
@@ -352,6 +361,11 @@ class RegulationTable:
         elif thinned[0]:
             onset = d_min
         else:
+            # the root of ub - lb between the grid's last open and first
+            # closed point; the onset is the closed end, so decide() thins there
             k = int(np.argmax(thinned))
-            onset = _thinned_onset(ctx, grid[k - 1], grid[k], min_dbm)
+            cell = slice(k - 1, k + 1)
+            onset = float(_bracketed_root(
+                lambda x, i: np.subtract(*_window_dbm(ctx, x, min_dbm)[::-1]),
+                *grid[cell], *(ub - lb)[cell], grid[k], _ONSET_XTOL_M)[1][0])
         return cls(d_min, onset, rho, grid, tx)

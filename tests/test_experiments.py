@@ -128,3 +128,13 @@ def test_fig2_single_femtocell_count(tmp_path):
     monotone = [c for c in summary["checks"] if "_nondecreasing_in_nf_" in c["name"]]
     assert len(monotone) == 4
     assert all(c["passed"] and c["detail"] == "fewer than two points" for c in monotone)
+
+
+def test_fig4_without_femtocells(tmp_path):
+    # no FAP can break the macro constraint: the ceiling is infinite, so
+    # fig4 leaves it out and writes both floors
+    assert main(["run", "fig4", "--nf", "0", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "fig4_power_floor_approx_nf0.csv", "fig4_power_floor_exact_nf0.csv"]
+    rows = _read_curve(tmp_path / "fig4_power_floor_exact_nf0.csv")
+    assert all(math.isfinite(float(r["value"])) for r in rows)

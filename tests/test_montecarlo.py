@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -482,13 +483,13 @@ def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, wid
     # threads run the drops, and the drops themselves are stubbed out
     widths = []
 
-    class RecordingPool(montecarlo.ThreadPoolExecutor):
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             widths.append(max_workers)
             super().__init__(max_workers=2, **kwargs)
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "_simulate_drop_outages", lambda *a, **k: 0)
     params = NetworkParams.from_expected_fap_count(100)
     estimate_op(params, "macro", [500.0], n_drops=64, n_trials=n_trials, seed=1)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import femtoshare
+from femtoshare import regulation
 from femtoshare.analysis import (
     BoundContext,
     femto_outage_lower_bound,
@@ -99,9 +100,122 @@ class TestPowerFloors:
         with pytest.raises(InfeasibleError):
             power_floor_exact_dbm(ctx30, 300.0)
 
+    def test_nan_bound_raises_naming_the_distance(self, ctx30, monkeypatch):
+        # a NaN femto bound is neither feasible nor infeasible, not even at the cap
+        bound = regulation._femto_bound
+
+        def nan_total(*args):
+            p_macro, p_comp, _ = bound(*args)
+            return p_macro, p_comp, np.full(np.shape(p_comp), np.nan)
+
+        monkeypatch.setattr(regulation, "_femto_bound", nan_total)
+        for solve in (power_floor_exact_dbm, decide):
+            with pytest.raises(ValueError, match="NaN at d=600 m"):
+                solve(ctx30, 600.0)
+
+
+class TestBracketedRoot:
+    """The lockstep root solver on closed-form functions."""
+
+    @staticmethod
+    def _solve(f, lo, hi):
+        lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+        idx = np.arange(lo.size)
+        return regulation._bracketed_root(f, lo, hi, f(lo, idx), f(hi, idx), lo)
+
+    def test_cube_roots_over_mixed_brackets(self):
+        # brackets from 1e-3 to 1e4 wide around roots spread over 1e-1..1e3
+        roots = np.geomspace(0.1, 1000.0, 25)
+        lo = roots - np.geomspace(1e-3, 10.0, 25)
+        hi = roots + np.geomspace(1e4, 1e-3, 25)
+        pos, neg = self._solve(lambda x, i: roots[i] ** 3 - x ** 3, lo, hi)
+        tol = regulation._XTOL_DB + regulation._RTOL * roots
+        assert np.all(roots ** 3 - pos ** 3 >= 0.0) and np.all(roots ** 3 - neg ** 3 < 0.0)
+        assert np.all(np.abs(pos - neg) < tol)
+        assert np.all(np.abs(neg - roots) < tol)
+
+    def test_few_evaluations_per_element(self):
+        # bisection halves [lo, hi] 10 dB wide to 1e-9 dB in about 35 steps
+        roots = np.linspace(-20.0, 10.0, 31)
+        seen = np.zeros(roots.size, dtype=int)
+
+        def f(x, i):
+            np.add.at(seen, i, 1)
+            return np.tanh(0.3 * (roots[i] - x)) + 0.1 * (roots[i] - x)
+
+        pos, neg = self._solve(f, roots - 3.0, roots + 7.0)
+        assert np.all(np.abs(neg - roots) < 2e-9)
+        assert (seen - 2).max() <= 12      # less the two bracket ends
+
+    def test_zero_counts_as_nonnegative(self):
+        # f is exactly 0 over [1, 2]: the root is the plateau's far end
+        def f(x, i):
+            return np.where(x < 1.0, 1.0 - x, np.where(x <= 2.0, 0.0, 2.0 - x))
+
+        pos, neg = self._solve(f, np.zeros(3), np.array([3.0, 5.0, 9.0]))
+        assert np.all(f(pos, None) == 0.0) and np.all(f(neg, None) < 0.0)
+        assert np.all((pos <= 2.0) & (neg > 2.0) & (neg - pos < 1e-8))
+
+    def test_batch_matches_scalar_bit_for_bit(self):
+        roots = np.linspace(0.3, 7.0, 40)
+
+        def f(x, i):
+            return np.exp(-x) - np.exp(-roots[i])
+
+        lo, hi = roots - np.linspace(0.1, 0.3, 40), roots + np.linspace(2.0, 0.2, 40)
+        pos, neg = self._solve(f, lo, hi)
+        for k in range(roots.size):
+            one = self._solve(lambda x, i: f(x, i + k), lo[k:k + 1], hi[k:k + 1])
+            assert (one[0][0], one[1][0]) == (pos[k], neg[k])
+
+    def test_starting_end_on_the_far_side(self):
+        # f < 0 already at lo; f >= 0 still at hi; a root at 5
+        def f(x, i):
+            return np.select([i == 0, i == 1], [-1.0, 1.0], 5.0 - x)
+
+        pos, neg = self._solve(f, [0.0, 0.0, 0.0], [1.0, 1.0, 10.0])
+        assert list(pos[:2]) == [0.0, 1.0] and list(neg[:2]) == [0.0, 1.0]
+        assert neg[2] == pytest.approx(5.0, abs=1e-8)
+
+    def test_nan_raises_naming_the_distance(self):
+        def f(x, i):
+            return np.where(x > 0.5, np.nan, 1.0 - x)
+
+        with pytest.raises(ValueError, match=r"NaN at d=0 m"):
+            self._solve(f, [0.0], [2.0])
+
+
+class TestBoundEvaluations:
+    """Femto-bound calls and distance-points of the regulation solves."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        count = {"calls": 0, "points": 0}
+        bound = regulation._femto_bound
+
+        def counting(ctx, d, p_mw, lambda_f):
+            count["calls"] += 1
+            count["points"] += np.size(d)
+            return bound(ctx, d, p_mw, lambda_f)
+
+        monkeypatch.setattr(regulation, "_femto_bound", counting)
+        return count
+
+    @pytest.mark.parametrize("d", [420.0, 600.0, 1000.0])
+    def test_scalar_floor(self, ctx30, counted, d):
+        power_floor_exact_dbm(ctx30, d)
+        assert counted["calls"] <= 12    # 32-35 by bisection
+
+    def test_table_build(self, counted):
+        ctx60 = BoundContext.from_params(
+            NetworkParams.from_expected_fap_count(60.0, xi_db=10.0))
+        RegulationTable.build(ctx60, d_max=3000.0)
+        # bisection with a 32-point block onset search evaluated 12,308
+        assert counted["points"] <= 12308 / 3
+
 
 class TestSolversAgainstBrent:
-    """The array bisection against a scalar Brent solve on the public bounds."""
+    """The array root solver against a scalar Brent solve on the public bounds."""
 
     @pytest.mark.parametrize("d", [420.0, 600.0, 850.0, 1000.0])
     def test_exact_floor(self, ctx30, d):
@@ -164,6 +278,15 @@ class TestPowerCeiling:
         # squared spread enters, so the bound extends smoothly there
         ub = power_ceiling_dbm(ctx100, ctx100.params.r_m)
         assert ub < min_serving_power_dbm(ctx100)
+
+    def test_nan_bound_raises_naming_the_distance(self, ctx30, monkeypatch):
+        # a NaN macro bound is not an unreachable constraint
+        bound = regulation._macro_bound
+        monkeypatch.setattr(regulation, "_macro_bound",
+                            lambda *args: np.full(np.shape(bound(*args)), np.nan))
+        for solve in (power_ceiling_dbm, decide):
+            with pytest.raises(ValueError, match="NaN at d=600 m"):
+                solve(ctx30, 600.0)
 
     def test_infeasible_when_branch_minimum_exceeds_target(self, params30):
         dense = BoundContext.from_params(
@@ -283,12 +406,18 @@ class TestRegulationTable:
             assert seen == modes
 
     def test_onset_is_the_mode_switch(self, ctx60):
-        table = RegulationTable.build(ctx60, d_max=3000.0)
-        onset = table.d_thinned_onset
-        assert onset == pytest.approx(656.0, abs=1.0)
-        assert table.rho == pytest.approx(0.242, abs=1e-3)
-        assert decide(ctx60, onset).mode is Mode.THINNED
-        assert decide(ctx60, onset * (1.0 - 1e-6)).mode is Mode.WINDOW
+        assert RegulationTable.build(ctx60, d_max=3000.0).rho == pytest.approx(0.242, abs=1e-3)
+        # fig7's scenarios whose window closes part-way out, and the onsets
+        # a 32-point block search found to 1e-6 m
+        for nf, xi, expected in ((30.0, 10.0, 1317.4059774070565),
+                                 (60.0, 10.0, 656.0386414692383),
+                                 (60.0, 15.0, 2028.0051753299942),
+                                 (100.0, 15.0, 1250.2643971136463)):
+            ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(nf, xi_db=xi))
+            onset = RegulationTable.build(ctx, d_max=3000.0).d_thinned_onset
+            assert onset == pytest.approx(expected, abs=2e-6)
+            assert decide(ctx, onset).mode is Mode.THINNED
+            assert decide(ctx, onset * (1.0 - 1e-6)).mode is Mode.WINDOW
 
     def test_excluded_region(self, ctx100):
         table = RegulationTable.build(ctx100)
@@ -308,6 +437,7 @@ class TestRegulationTable:
         # powers are the decisions' (an open window topped by the cap)
         ctx = BoundContext.from_params(NetworkParams(lambda_f=0.0))
         assert rb_access_probability(ctx) == 1.0
+        assert power_ceiling_dbm(ctx, 500.0) == math.inf
         table = RegulationTable.build(ctx, d_max=3000.0)
         assert math.isinf(table.d_thinned_onset)
         assert table.rho == 1.0
