@@ -30,7 +30,6 @@ from .montecarlo import (
     estimate_ase,
     estimate_op,
 )
-from .quadrature import Kind, QuadratureRule, make_rule
 from .regulation import (
     InfeasibleError,
     Mode,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .model import (
     mw_to_dbm,
     per_subcarrier_power,
 )
-from .quadrature import Kind, QuadratureRule, make_rule
 
 __all__ = [
     "BoundContext",
@@ -42,6 +41,31 @@ __all__ = [
 # Exponent x such that exp(x) overflows float64; used to cap dominant
 # interferer counts whose void probability is already exactly 0.
 _EXP_CAP = 700.0
+
+
+@lru_cache(maxsize=None)
+def make_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(nodes, weights)`` of the ``order``-point Gauss rule for
+    ``kind`` ``"laguerre"`` (weight e^-x on [0, inf)) or ``"hermite"``
+    (weight e^-x^2 on the real line); cached.
+
+    The nodes are the eigenvalues of the Jacobi matrix of the family's
+    three-term recurrence, and each weight is ``mu0`` times the squared
+    first component of its unit eigenvector (Golub & Welsch, Math. Comp. 23,
+    1969).
+    """
+    k = np.arange(1.0, order)
+    if kind == "laguerre":
+        diag, off, mu0 = 2.0 * np.arange(order) + 1.0, k, 1.0
+    elif kind == "hermite":
+        diag, off, mu0 = np.zeros(order), np.sqrt(k / 2.0), math.sqrt(math.pi)
+    else:
+        raise ValueError(f"unknown rule kind: {kind!r}")
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = mu0 * vectors[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -63,16 +87,18 @@ class BoundContext:
 
     ``fap_power`` is the per-subcarrier transmit-power distribution of
     interfering access points (lognormal over mW); ``p_f_serving_dbm`` is
-    the tagged femtocell's per-subcarrier power.  Composite channels are
-    the lognormal fits of (Rayleigh power x shadowing) per link.
+    the tagged femtocell's per-subcarrier power.  ``laguerre`` and
+    ``hermite`` are the ``(nodes, weights)`` of the bounds' quadrature
+    rules.  Composite channels are the lognormal fits of (Rayleigh power x
+    shadowing) per link.
     """
 
     params: NetworkParams
     links: LinkSet
     fap_power: LognormalDist
     p_f_serving_dbm: float
-    laguerre: QuadratureRule
-    hermite: QuadratureRule
+    laguerre: tuple[np.ndarray, np.ndarray]
+    hermite: tuple[np.ndarray, np.ndarray]
     comp_serving: LognormalDist        # serving FAP -> its indoor UE
     comp_macro_indoor: LognormalDist   # MBS -> indoor UE
     comp_fap_indoor: LognormalDist     # interfering FAP -> indoor UE
@@ -81,20 +107,12 @@ class BoundContext:
     ratio_dist: LognormalDist          # serving / macro-indoor composite ratio
 
     @classmethod
-    def from_params(
-        cls,
-        params: NetworkParams,
-        serving_total_dbm: float | None = None,
-        interferer_min_dbm: float | None = None,
-        interferer_max_dbm: float | None = None,
-        laguerre_order: int = 12,
-        hermite_order: int = 12,
-    ) -> "BoundContext":
+    def from_params(cls, params: NetworkParams) -> "BoundContext":
         """Build a context from scenario parameters.
 
-        The serving femtocell defaults to transmitting at the power cap;
-        interfering powers default to the lognormal spanning
-        [macro-edge minimum power, per-subcarrier cap].
+        The serving femtocell transmits at the power cap; interfering
+        powers follow the lognormal spanning [macro-edge minimum power,
+        per-subcarrier cap].
         """
         links = build_links(params)
         comp_serving = composite_fading_shadowing(
@@ -103,20 +121,16 @@ class BoundContext:
             links.macro_to_indoor.mu_db, links.macro_to_indoor.sigma_db)
         ratio = LognormalDist(comp_serving.loc - comp_macro_indoor.loc,
                               math.hypot(comp_serving.scale, comp_macro_indoor.scale))
-        if serving_total_dbm is None:
-            serving_total_dbm = params.p_f_max_total_dbm
-        serving_dbm = per_subcarrier_power(serving_total_dbm, params.n_subcarriers)
-        if interferer_max_dbm is None:
-            interferer_max_dbm = params.p_f_max_subcarrier_dbm
-        if interferer_min_dbm is None:
-            interferer_min_dbm = _power_floor_macro_only_dbm(params, links, ratio, params.r_m)
         return cls(
             params=params,
             links=links,
-            fap_power=fap_power_distribution(interferer_min_dbm, interferer_max_dbm),
-            p_f_serving_dbm=serving_dbm,
-            laguerre=make_rule(Kind.LAGUERRE, laguerre_order),
-            hermite=make_rule(Kind.HERMITE, hermite_order),
+            fap_power=fap_power_distribution(
+                _power_floor_macro_only_dbm(params, links, ratio, params.r_m),
+                params.p_f_max_subcarrier_dbm),
+            p_f_serving_dbm=per_subcarrier_power(params.p_f_max_total_dbm,
+                                                 params.n_subcarriers),
+            laguerre=make_rule("laguerre", 12),
+            hermite=make_rule("hermite", 12),
             comp_serving=comp_serving,
             comp_macro_indoor=comp_macro_indoor,
             comp_fap_indoor=composite_fading_shadowing(
@@ -158,23 +172,25 @@ class BoundContext:
         a = p.alpha_mf
         comp_out = self.comp_fap_outdoor
         comp_sig = self.comp_macro_outdoor
+        nodes, _ = self.hermite
         geo = (p.g_f * self.links.macro_to_outdoor.phi * p.gamma_m
                / (p.g_m * self.links.fap_to_outdoor.phi)) ** (2.0 / a)
         return math.pi * geo * np.exp(
             2.0 * (comp_out.loc - comp_sig.loc
-                   - math.sqrt(2.0) * comp_sig.scale * self.hermite.nodes) / a
+                   - math.sqrt(2.0) * comp_sig.scale * nodes) / a
             + 2.0 * comp_out.scale**2 / a**2)
 
 
-def _macro_only_threshold(ctx: BoundContext, d, p_serving_mw):
-    """Channel-ratio level below which macro interference alone causes
-    a femto outage at range ``d`` and serving power ``p_serving_mw``, for
-    the worst-case cell-edge UE."""
-    p = ctx.params
-    num = ctx.p_m_mw * p.g_m * ctx.links.serving_fap_to_indoor.phi \
-        * p.r_f**p.alpha_f * p.gamma_f
-    den = p_serving_mw * p.g_f * ctx.links.macro_to_indoor.phi * d**p.alpha_fm
-    return num / den
+def _macro_only_budget(params: NetworkParams, links: LinkSet, d):
+    """Macro-only link budget at range ``d``, mW: the product
+    p_m g_m phi_f r_f^alpha_f gamma_f / (g_f phi_mi d^alpha_fm).  Over the
+    serving power it is the channel-ratio level below which macro
+    interference alone causes a femto outage for the worst-case cell-edge
+    UE; over the ratio's ``eps_f`` quantile it is the macro-only floor."""
+    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
+    num = p_m_mw * params.g_m * links.serving_fap_to_indoor.phi \
+        * params.r_f**params.alpha_f * params.gamma_f
+    return num / (params.g_f * links.macro_to_indoor.phi * d**params.alpha_fm)
 
 
 def femto_outage_macro_only(ctx: BoundContext, d):
@@ -186,7 +202,8 @@ def femto_outage_macro_only(ctx: BoundContext, d):
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("distance must be positive")
-    out = ctx.ratio_dist.cdf(_macro_only_threshold(ctx, d, ctx.p_serving_mw))
+    budget = _macro_only_budget(ctx.params, ctx.links, d)
+    out = ctx.ratio_dist.cdf(budget / ctx.p_serving_mw)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -198,12 +215,7 @@ def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
     eps = params.eps_f
     if not (0 < eps < 1):
         raise ValueError("outage target must lie in (0, 1)")
-    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
-    num = p_m_mw * params.g_m * links.serving_fap_to_indoor.phi \
-        * params.r_f**params.alpha_f * params.gamma_f
-    den = params.g_f * links.macro_to_indoor.phi * d**params.alpha_fm \
-        * ratio.quantile(eps)
-    out = mw_to_dbm(num / den)
+    out = mw_to_dbm(_macro_only_budget(params, links, d) / ratio.quantile(eps))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -275,10 +287,8 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     ln_gamma = math.log(p.gamma_f)
     rate = dominant_interferer_rate_fue(ctx) * lambda_f
 
-    a_n = ctx.laguerre.nodes[:, None]
-    w_n = ctx.laguerre.weights[:, None]
-    b_m = ctx.hermite.nodes[None, :]
-    v_m = ctx.hermite.weights[None, :]
+    a_n, w_n = (x[:, None] for x in ctx.laguerre)
+    b_m, v_m = (x[None, :] for x in ctx.hermite)
 
     ln_z = math.sqrt(2.0) * sc_i * b_m + mu_i + ln_gamma
     chi = (ln_z - mu_s) ** 2 / (2.0 * sc_s**2)
@@ -298,7 +308,8 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
 def _femto_bound(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     """Macro-only term, composite term, and their sum clamped to 1, for
     the broadcast arrays of distances and serving powers (mW)."""
-    p_macro = ctx.ratio_dist.cdf(_macro_only_threshold(ctx, d, p_serving_mw))
+    budget = _macro_only_budget(ctx.params, ctx.links, d)
+    p_macro = ctx.ratio_dist.cdf(budget / p_serving_mw)
     p_comp = _femto_composite_term(ctx, d, p_serving_mw, lambda_f)
     return p_macro, p_comp, np.minimum(p_macro + p_comp, 1.0)
 
@@ -331,8 +342,8 @@ def _macro_bound(ctx: BoundContext, d, power_loc, power_scale, lambda_eff: float
     dist_factor = (d ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
     ln_void = -np.minimum(ctx.macro_b_tilde * lambda_eff * power_factor[..., None]
                           * dist_factor[..., None], _EXP_CAP)
-    out = 1.0 - np.sum(ctx.hermite.weights / math.sqrt(math.pi) * np.exp(ln_void),
-                       axis=-1)
+    _, weights = ctx.hermite
+    out = 1.0 - np.sum(weights / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
     return np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
 
 

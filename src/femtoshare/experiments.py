@@ -24,7 +24,7 @@ from .analysis import (
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
-from .model import NetworkParams, load_scenario, per_subcarrier_power
+from .model import PARAM_FIELDS, NetworkParams, load_scenario, per_subcarrier_power
 from .montecarlo import estimate_ase, estimate_op
 from .regulation import (
     RegulationTable,
@@ -88,11 +88,15 @@ class ExperimentSpec:
                 raise ValueError("sweep grid must be strictly increasing")
 
     def params(self, **extra) -> NetworkParams:
+        """Scenario of the overrides updated by ``extra``.  A given ``n_f``
+        sets the intensity, so a preset's N_F replaces the ``lambda_f`` of
+        a scenario file."""
         merged = {**self.overrides, **extra}
         n_f = merged.pop("n_f", None)
-        base = NetworkParams(**merged) if n_f is None else \
-            NetworkParams.from_expected_fap_count(n_f, **merged)
-        return base
+        if n_f is None:
+            return NetworkParams(**merged)
+        merged.pop("lambda_f", None)
+        return NetworkParams.from_expected_fap_count(n_f, **merged)
 
     def scale(self, drops_default: int, trials_default: int) -> tuple[int, int]:
         return (drops_default if self.n_drops is None else self.n_drops,
@@ -417,22 +421,17 @@ def main(argv=None) -> int:
             return 2
     overrides = {}
     if args.config is not None:
-        from dataclasses import fields as dc_fields
-
         loaded = load_scenario(args.config)
         base = NetworkParams()
-        overrides = {f.name: getattr(loaded, f.name) for f in dc_fields(NetworkParams)
-                     if getattr(loaded, f.name) != getattr(base, f.name)}
+        overrides = {name: getattr(loaded, name) for name in PARAM_FIELDS
+                     if getattr(loaded, name) != getattr(base, name)}
     sweep = None
     if args.sweep is not None:
         if len(args.sweep) < 2:
             print("--sweep needs a field name and at least one value", file=sys.stderr)
             return 2
-        from dataclasses import fields as dc_fields
-
         name = args.sweep[0].lower()
-        known = {f.name for f in dc_fields(NetworkParams)} | {"n_f"}
-        if name not in known:
+        if name not in PARAM_FIELDS and name != "n_f":
             print(f"unknown sweep field {args.sweep[0]!r}", file=sys.stderr)
             return 2
         sweep = (name, tuple(float(v) for v in args.sweep[1:]))

@@ -297,6 +297,10 @@ class NetworkParams:
         return replace(self, **changes)
 
 
+# Scenario field names, in declaration order.
+PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))
+
+
 @dataclass(frozen=True)
 class LinkSet:
     """The five propagation links of a scenario."""
@@ -332,16 +336,6 @@ def build_links(params: NetworkParams) -> LinkSet:
     )
 
 
-_PARAM_FIELDS = None
-
-
-def _param_fields():
-    global _PARAM_FIELDS
-    if _PARAM_FIELDS is None:
-        _PARAM_FIELDS = {f.name for f in fields(NetworkParams)}
-    return _PARAM_FIELDS
-
-
 def load_scenario(path) -> NetworkParams:
     """Read a scenario from a JSON file.
 
@@ -354,7 +348,7 @@ def load_scenario(path) -> NetworkParams:
     if not isinstance(raw, dict):
         raise ValueError("scenario file must contain a JSON object")
     n_f = raw.pop("n_f", None)
-    unknown = set(raw) - _param_fields()
+    unknown = set(raw).difference(PARAM_FIELDS)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     if n_f is not None and "lambda_f" not in raw:
@@ -368,7 +362,7 @@ def load_scenario(path) -> NetworkParams:
 
 def dump_scenario(params: NetworkParams, path) -> None:
     """Write a scenario to a JSON file (all fields, plus derived n_f)."""
-    data = {f.name: getattr(params, f.name) for f in fields(NetworkParams)}
+    data = {name: getattr(params, name) for name in PARAM_FIELDS}
     data["n_f"] = params.n_f
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)

@@ -98,19 +98,22 @@ def drop_faps(
     rng: np.random.Generator,
     power_dist: LognormalDist | None = None,
     regulation: RegulationTable | None = None,
-    min_radius: float = 0.0,
 ) -> FemtoDrop:
     """Sample one FAP field: Poisson count at the scenario intensity,
-    positions uniform over the disc (annulus when ``min_radius`` > 0).
+    positions uniform over the disc.
 
-    Powers are i.i.d. draws from ``power_dist``, or set per FAP distance
-    by a regulation table (which also thins RB usage); exactly one of the
-    two must be given unless the field is empty.
+    With a ``regulation`` table the field covers only the annulus outside
+    its minimum deployment distance, and the table sets each FAP's power
+    and thins its RB usage by distance; without one, powers are i.i.d.
+    draws from ``power_dist`` and every FAP uses every RB.
     """
     if region_radius <= 0:
         raise ValueError("region radius must be positive")
-    if min_radius < 0 or min_radius >= region_radius:
-        raise ValueError("need 0 <= min_radius < region_radius")
+    if regulation is None and power_dist is None:
+        raise ValueError("provide power_dist or regulation to assign powers")
+    min_radius = 0.0 if regulation is None else regulation.d_min_deploy
+    if min_radius >= region_radius:
+        raise ValueError("the minimum deployment distance must lie inside the region")
     area = math.pi * (region_radius**2 - min_radius**2)
     n = int(rng.poisson(params.lambda_f * area))
     # uniform over the annulus via inverse-CDF radius sampling
@@ -124,14 +127,9 @@ def drop_faps(
         pos, tx_dbm, prob = pos[keep], tx_dbm[keep], prob[keep]
         n = pos.shape[0]
         masks = rng.random((n, params.n_rb)) < prob[:, None]
-    elif power_dist is not None:
+    else:
         tx_dbm = 10.0 * np.log10(power_dist.sample(rng, n)) if n else np.empty(0)
         masks = np.ones((n, params.n_rb), dtype=bool)
-    elif n == 0:
-        tx_dbm = np.empty(0)
-        masks = np.ones((0, params.n_rb), dtype=bool)
-    else:
-        raise ValueError("provide power_dist or regulation to assign powers")
     return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks)
 
 
@@ -326,12 +324,8 @@ def estimate_op(
     def drop_outages(i: int) -> int:
         j, k = divmod(i, n_drops)
         rng = _drop_rng(seed, point_offset + j, k)
-        drop = drop_faps(
-            params, region, rng,
-            power_dist=None if regulation is not None else ctx.fap_power,
-            regulation=regulation,
-            min_radius=regulation.d_min_deploy if regulation is not None else 0.0,
-        )
+        drop = drop_faps(params, region, rng, power_dist=ctx.fap_power,
+                         regulation=regulation)
         return _simulate_drop_outages(
             params, links, drop, tier, float(distances[j]), n_trials, rng,
             *serving[j])
@@ -365,19 +359,14 @@ def estimate_ase(
     ctx = BoundContext.from_params(params)
     links = ctx.links
     region = DROP_REGION_FACTOR * params.r_m
-    regulation = None
-    if params.lambda_f > 0:
-        regulation = RegulationTable.build(ctx, d_max=region)
+    regulation = RegulationTable.build(ctx, d_max=region)
     cell_area = math.pi * params.r_m**2
     se_f = math.log2(1.0 + params.gamma_f)
     se_m = math.log2(1.0 + params.gamma_m)
 
     def drop_terms(k: int) -> tuple[float, int]:
         rng = _drop_rng(seed, 0, k)
-        drop = drop_faps(
-            params, region, rng, regulation=regulation,
-            power_dist=None if regulation is not None else ctx.fap_power,
-            min_radius=regulation.d_min_deploy if regulation is not None else 0.0)
+        drop = drop_faps(params, region, rng, regulation=regulation)
         in_cell = np.flatnonzero(drop.distances_to_mbs() <= params.r_m)
         # femto side: tagged subsample, unbiased via the count ratio
         density_success = 0.0

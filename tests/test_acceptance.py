@@ -259,16 +259,19 @@ def test_criterion_6_macro_quadrature_vs_oracle():
 
 
 def test_criterion_6_femto_quadrature_vs_oracle():
-    """Known-unattainable as stated: the composite-term integrand carries a
+    """Fails with the current rule: the composite-term integrand carries a
     t^(-1/2) endpoint singularity at the Laguerre origin (the signal sample
     meets the interference threshold linearly in t wherever the threshold
     exceeds the signal median, and the 1/sqrt(t + chi) density is singular
     where chi -> 0), so the plain Gauss-Laguerre x Gauss-Hermite sum
     converges only algebraically: the 12x12 production sum sits 2-24% from
     the adaptively integrated value of its own integrand, and even 96x96
-    still differs by ~9%.  1e-5 relative agreement is out of reach at any
-    practical order; the tolerance is asserted as stated, so this test
-    documents the failure rather than hiding it.
+    still differs by ~9%.  A polar-coordinate rule that cancels the
+    singularity (ROADMAP item 1) measured 2.1e-6 at 16x16 nodes, so the
+    tolerance is within practical reach; that rule moves the benchmark's
+    pinned curves and waits for a change that regenerates them.  The
+    tolerance is asserted as stated, so this test documents the failure
+    rather than hiding it.
     """
     sample = [(nf, d) for nf in (30.0, 100.0) for d in GRID_C3]
     worst = 0.0

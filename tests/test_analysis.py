@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.laguerre import laggauss
 from scipy import integrate as sp_integrate
 
 from femtoshare.analysis import (
@@ -11,8 +14,20 @@ from femtoshare.analysis import (
     femto_outage_lower_bound,
     femto_outage_macro_only,
     macro_outage_lower_bound,
+    make_rule,
 )
 from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
+
+
+def test_make_rule_matches_numpy_tables():
+    for order in (12, 24):
+        for kind, table in (("laguerre", laggauss), ("hermite", hermgauss)):
+            nodes, weights = make_rule(kind, order)
+            ref_nodes, ref_weights = table(order)
+            np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
+            np.testing.assert_allclose(weights, ref_weights, rtol=1e-12)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            assert make_rule(kind, order) is make_rule(kind, order)
 
 
 def test_macro_only_edge_value_meets_constraint(ctx30):
@@ -85,7 +100,8 @@ class TestFemtoLowerBound:
 
     def test_quadrature_order_robustness(self, params30):
         base = BoundContext.from_params(params30)
-        fine = BoundContext.from_params(params30, laguerre_order=24, hermite_order=24)
+        fine = dataclasses.replace(base, laguerre=make_rule("laguerre", 24),
+                                   hermite=make_rule("hermite", 24))
         for d in (400.0, 550.0, 700.0, 850.0, 1000.0):
             a = femto_outage_lower_bound(base, d).p_total_lb
             b = femto_outage_lower_bound(fine, d).p_total_lb
@@ -148,18 +164,17 @@ class TestMacroLowerBound:
 class TestDominantInterfererRates:
     def test_gamma_homogeneity(self, params30):
         # fixed interferer power statistics isolate the target's exponent
-        kw = dict(interferer_min_dbm=-24.0, interferer_max_dbm=-8.0)
-        ctx = BoundContext.from_params(params30, **kw)
+        ctx = BoundContext.from_params(params30).with_interferer_power(-24.0, -8.0)
         doubled = BoundContext.from_params(params30.replace(
-            gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)), **kw)
+            gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)),
+        ).with_interferer_power(-24.0, -8.0)
         ratio = dominant_interferer_rate_fue(doubled) / dominant_interferer_rate_fue(ctx)
         assert ratio == pytest.approx(2.0 ** (2.0 / params30.alpha_ff), rel=1e-9)
 
     def test_fixed_power_closed_form(self, params30):
         # degenerate interferer power: the moment factor reduces to a plain
         # power of the constant, leaving the hand-computed expression
-        ctx = BoundContext.from_params(params30, interferer_min_dbm=-10.0,
-                                       interferer_max_dbm=-10.0)
+        ctx = BoundContext.from_params(params30).with_interferer_power(-10.0, -10.0)
         p = params30
         comp = ctx.comp_fap_indoor
         a = p.alpha_ff
@@ -203,8 +218,7 @@ def test_printed_form_matches_coefficient_form(ctx30):
     # coefficient form are the same expression rearranged
     p = ctx30.params
     kappa = dominant_interferer_rate_mue(ctx30)
-    b_m = ctx30.hermite.nodes
-    v_m = ctx30.hermite.weights
+    b_m, v_m = ctx30.hermite
     for d in (400.0, 700.0, 1000.0):
         mu_s = ctx30.comp_macro_outdoor.loc + math.log(
             ctx30.p_m_mw * p.g_m * p.g_u / (ctx30.links.macro_to_outdoor.phi * d**p.alpha_m))

@@ -138,3 +138,21 @@ def test_fig4_without_femtocells(tmp_path):
         "fig4_power_floor_approx_nf0.csv", "fig4_power_floor_exact_nf0.csv"]
     rows = _read_curve(tmp_path / "fig4_power_floor_exact_nf0.csv")
     assert all(math.isfinite(float(r["value"])) for r in rows)
+
+
+def test_preset_nf_wins_over_the_scenario_intensity(tmp_path, capsys):
+    # a scenario file's n_f becomes an intensity override; a preset that
+    # sets N_F itself replaces it instead of passing both
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"n_f": 50}))
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert main(["run", "fig6", "--out", str(plain)]) == 0
+    assert main(["run", "fig6", "--config", str(cfg), "--out", str(configured)]) == 0
+    names = sorted(p.name for p in plain.glob("*.csv"))
+    assert names == sorted(p.name for p in configured.glob("*.csv"))
+    for name in names:
+        assert (plain / name).read_bytes() == (configured / name).read_bytes()
+    spec = ExperimentSpec(overrides={"lambda_f": 2e-5, "xi_db": 15.0})
+    assert spec.params().lambda_f == 2e-5
+    assert spec.params(n_f=30.0).n_f == pytest.approx(30.0)
+    assert spec.params(n_f=30.0).xi_db == 15.0

@@ -29,10 +29,12 @@ def _power_dist(params):
 class TestDropFaps:
     def test_zero_intensity_always_empty(self):
         params = NetworkParams(lambda_f=0.0)
+        ctx = BoundContext.from_params(params)
+        table = RegulationTable.build(ctx, d_max=1000.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            drop = drop_faps(params, 1000.0, rng, power_dist=None)
-            assert drop.n_faps == 0
+            assert drop_faps(params, 1000.0, rng, power_dist=ctx.fap_power).n_faps == 0
+            assert drop_faps(params, 1000.0, rng, regulation=table).n_faps == 0
 
     def test_poisson_count_statistics(self, params30):
         rng = np.random.default_rng(42)
@@ -56,8 +58,7 @@ class TestDropFaps:
         rng = np.random.default_rng(4)
         ctx = BoundContext.from_params(params100)
         table = RegulationTable.build(ctx, d_max=2000.0)
-        drop = drop_faps(params100, 2000.0, rng, regulation=table,
-                         min_radius=table.d_min_deploy)
+        drop = drop_faps(params100, 2000.0, rng, regulation=table)
         assert np.all(drop.distances_to_mbs() >= table.d_min_deploy)
         assert np.all(drop.fap_powers_dbm <= params100.p_f_max_subcarrier_dbm + 1e-9)
 
