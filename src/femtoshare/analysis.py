@@ -50,9 +50,10 @@ def make_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     (weight e^-x^2 on the real line); cached.
 
     The nodes are the eigenvalues of the Jacobi matrix of the family's
-    three-term recurrence, and each weight is ``mu0`` times the squared
-    first component of its unit eigenvector (Golub & Welsch, Math. Comp. 23,
-    1969).
+    three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969). Each weight
+    is ``mu0 / sum_k p_k(x)**2`` over the orthonormal polynomials, run by the
+    same recurrence: unlike ``mu0 * v[0]**2`` from the eigenvectors, it keeps
+    its relative accuracy for tail weights far below 1e-16.
     """
     k = np.arange(1.0, order)
     if kind == "laguerre":
@@ -61,8 +62,12 @@ def make_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
         diag, off, mu0 = np.zeros(order), np.sqrt(k / 2.0), math.sqrt(math.pi)
     else:
         raise ValueError(f"unknown rule kind: {kind!r}")
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    weights = mu0 * vectors[0] ** 2
+    nodes = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    prev, cur, total = np.zeros(order), np.ones(order), np.ones(order)
+    for j in range(order - 1):   # prev starts at 0, so off[-1] drops out at j = 0
+        prev, cur = cur, ((nodes - diag[j]) * cur - off[j - 1] * prev) / off[j]
+        total += cur**2
+    weights = mu0 / total
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
