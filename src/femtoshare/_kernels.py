@@ -5,9 +5,11 @@ largest cost after the fading draw.  It is compiled with numba when numba
 imports, and runs as a vectorized pure-numpy fallback otherwise.  Both
 paths compute the same reduction, each path gain as ``hq / d2 ** (alpha/2)``
 (numpy squares at alpha = 4); only float summation order differs.  Both
-release the GIL (the compiled kernel is built with ``nogil=True``; numpy
-does in its array loops), so the drop threads of
-:mod:`femtoshare.montecarlo` overlap in it.
+take the caller's ``(trial, FAP)`` float64 arrays ``gain`` and ``dy``: the
+numpy path overwrites them with its path-gain and y-offset temporaries,
+and the loop leaves them alone.  Both release the GIL (the compiled kernel
+is built with ``nogil=True``; numpy does in its array loops), so the drop
+threads of :mod:`femtoshare.montecarlo` overlap in it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ __all__ = ["USE_NUMBA", "outage_count"]
 
 
 def _numpy_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
-                        half_alpha, masks, rb, gamma, min_d2, skip):
-    # (trial, FAP) faded path gain, built in one buffer
-    gain = np.subtract(px, ux[:, None])
+                        half_alpha, masks, rb, gamma, min_d2, skip, gain, dy):
+    # (trial, FAP) faded path gain, built in the caller's buffer
+    np.subtract(px, ux[:, None], out=gain)
     np.square(gain, out=gain)
-    dy = np.subtract(py, uy[:, None])
+    np.subtract(py, uy[:, None], out=dy)
     np.square(dy, out=dy)
     gain += dy
     np.maximum(gain, min_d2, out=gain)
@@ -37,7 +39,7 @@ def _numpy_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
 
 
 def _loop_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
-                       half_alpha, masks, rb, gamma, min_d2, skip):
+                       half_alpha, masks, rb, gamma, min_d2, skip, gain, dy):
     n_trials = sig.shape[0]
     n_fap = px.shape[0]
     count = 0
@@ -47,9 +49,9 @@ def _loop_outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
         for i in range(n_fap):
             if i == skip or not masks[i, r]:
                 continue
-            dx = px[i] - ux[t]
-            dy = py[i] - uy[t]
-            d2 = dx * dx + dy * dy
+            ex = px[i] - ux[t]
+            ey = py[i] - uy[t]
+            d2 = ex * ex + ey * ey
             if d2 < min_d2:
                 d2 = min_d2
             acc += p_coef[i] * (hq[t, i] / d2 ** half_alpha)

@@ -22,11 +22,21 @@ capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
 draws from its own ``(seed, point, drop)`` stream and the per-drop results
 are combined in drop order, so every estimate is the same, bit for bit,
 on any CPU count.
+
+A running drop keeps its (trial, FAP) arrays -- the fading draw and the
+kernel's path-gain and y-offset temporaries -- in a :class:`_Workspace`.
+:func:`_map_drops` allocates one per pool thread in the calling thread
+before the pool starts, hands each running drop one that no other running
+drop holds, and drops them all when it returns or raises.  Reusing them
+spares every drop the fresh pages, and the page faults, of new arrays.
+Workspace memory is an anonymous map of its own, so none of it stays
+resident in a malloc heap or a pool thread's arena after its release.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -136,11 +146,12 @@ def drop_faps(
 # -- one drop against a batch of victims ----------------------------------
 
 
-def _hq(rng: np.random.Generator, link, size):
-    """Rayleigh-power fading times lognormal shadowing on ``link``, drawn from
-    the stream positions of ``exponential`` then ``lognormal`` (to 1 ulp)."""
-    out = rng.standard_exponential(size)
-    shadow = rng.standard_normal(size)
+def _hq(rng: np.random.Generator, link, out, shadow):
+    """Fill ``out`` with Rayleigh-power fading times lognormal shadowing on
+    ``link``, drawn from the stream positions of ``exponential`` then
+    ``lognormal`` (to 1 ulp); ``shadow``, of the same shape, is scratch."""
+    rng.standard_exponential(out=out)
+    rng.standard_normal(out=shadow)
     shadow *= DB_TO_LN * link.sigma_db
     shadow += DB_TO_LN * link.mu_db
     out *= np.exp(shadow, out=shadow)
@@ -152,12 +163,13 @@ def _received(rng: np.random.Generator, params: NetworkParams, link, p_dbm: floa
     """Faded power (mW) that ``n`` UEs receive over ``link`` from a
     transmitter of power ``p_dbm`` and antenna gain ``g_tx`` at range ``d``."""
     p_mw = float(dbm_to_mw(p_dbm))
-    return p_mw * g_tx * params.g_u / (link.phi * d**link.alpha) * _hq(rng, link, n)
+    hq = _hq(rng, link, np.empty(n), np.empty(n))
+    return p_mw * g_tx * params.g_u / (link.phi * d**link.alpha) * hq
 
 
 def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
                     ux, uy, sig, fixed, rbs, rng: np.random.Generator,
-                    skip: int = -1) -> int:
+                    ws: _Workspace, skip: int = -1) -> int:
     """Outage count of a batch of victims against one drop.
 
     Victim ``t`` sits at ``(ux[t], uy[t])`` with faded signal ``sig[t]`` and
@@ -165,7 +177,7 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
     femto UE or an outdoor macro UE.  Each victim draws its RB from ``rbs``,
     then every FAP's fading towards it; FAP ``skip`` (the victim's own
     serving FAP) is left out of the sum.  A victim with no interference at
-    all is not in outage.
+    all is not in outage.  The (victim, FAP) arrays live in ``ws``.
     """
     n = sig.shape[0]
     rb = rng.choice(rbs, size=n)
@@ -173,7 +185,8 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
     if drop.n_faps == 0:
         return int(np.count_nonzero((fixed > 0.0) & (sig < gamma * fixed)))
     link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
-    hq_i = _hq(rng, link, (n, drop.n_faps))
+    hq_i, gain, dy = ws.arrays(n, drop.n_faps)
+    _hq(rng, link, hq_i, gain)
     # per-FAP power x gains / fixed loss; the kernel applies fading and distance
     p_mw = np.asarray(dbm_to_mw(drop.fap_powers_dbm))
     p_coef = p_mw * params.g_f * params.g_u / link.phi
@@ -182,19 +195,54 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
         np.ascontiguousarray(drop.fap_positions[:, 0]),
         np.ascontiguousarray(drop.fap_positions[:, 1]),
         ux, uy, link.alpha / 2.0, drop.fap_rb_masks,
-        rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip))
+        rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain, dy))
 
 
 # -- batched estimation ------------------------------------------------------
 
 
-# Memory the running drops' (trial, FAP) float64 arrays may take in all.
-# A drop holds about 17 MB at 1000 trials and 900 FAPs, so one thread per
-# CPU would peak near 1.2 GB on 64 CPUs.
+# Memory the running drops' workspaces may take in all.  A workspace holds
+# about 24 MB at 1000 trials and 900 expected FAPs, so one thread per CPU
+# would peak near 1.6 GB on 64 CPUs.
 _POOL_BUDGET_BYTES = 256 * 2**20
-# (trial, FAP) float64 arrays alive at once in one drop: the fading draw
-# and the numpy kernel's path-gain and y-offset buffers.
+# (trial, FAP) float64 arrays in one drop's workspace, all alive at once:
+# the fading draw and the kernel's path-gain and y-offset temporaries (the
+# path-gain array holds the draw's shadowing first).
 _LIVE_TRIAL_FAP_ARRAYS = 3
+
+
+def _workspace_pairs(n_trials: int, n_faps: float) -> int:
+    """(trial, FAP) pairs per array of a workspace for ``n_trials`` victims
+    and ``n_faps`` expected FAPs: the Poisson FAP count rarely passes its
+    mean plus four standard deviations (4e-5 of drops at a mean of 900)."""
+    return n_trials * math.ceil(n_faps + 4.0 * math.sqrt(n_faps))
+
+
+def _mapped_buffer(pairs: int) -> np.ndarray:
+    """``(_LIVE_TRIAL_FAP_ARRAYS, pairs)`` float64 in an anonymous memory map
+    of its own, unmapped when the last view of it goes.  Unlike a malloc
+    heap or arena, it keeps no pages resident after its release, whichever
+    thread allocated it."""
+    size = _LIVE_TRIAL_FAP_ARRAYS * pairs
+    buf = np.frombuffer(mmap.mmap(-1, max(1, 8 * size)), dtype=np.float64, count=size)
+    return buf.reshape(_LIVE_TRIAL_FAP_ARRAYS, pairs)
+
+
+class _Workspace:
+    """The (trial, FAP) float64 arrays of one running drop, reused by the
+    drops that run after it on the same workspace."""
+
+    def __init__(self, n_trials: int, n_faps: float):
+        self._buf = _mapped_buffer(_workspace_pairs(n_trials, n_faps))
+
+    def arrays(self, n_trials: int, n_faps: int) -> list:
+        """The workspace's arrays, as C-contiguous ``(n_trials, n_faps)``
+        views.  A drop with more pairs than they hold gets larger ones,
+        which the workspace keeps."""
+        pairs = n_trials * n_faps
+        if pairs > self._buf.shape[1]:
+            self._buf = _mapped_buffer(_workspace_pairs(n_trials, n_faps))
+        return [row[:pairs].reshape(n_trials, n_faps) for row in self._buf]
 
 
 def _drop_rng(seed: int, point: int, drop_idx: int) -> np.random.Generator:
@@ -204,31 +252,47 @@ def _drop_rng(seed: int, point: int, drop_idx: int) -> np.random.Generator:
 
 
 def _map_drops(fn, n_drops: int, n_trials: int, n_faps: float) -> list:
-    """``[fn(k) for k in range(n_drops)]``, run on a pool of threads as wide
-    as the CPUs this process may use (serially where that is one), but no
-    wider than keeps the drops' (trial, FAP) arrays within
-    ``_POOL_BUDGET_BYTES``, for ``n_trials`` victims and ``n_faps``
-    expected FAPs per drop.
+    """``[fn(k, ws) for k in range(n_drops)]``, run on a pool of threads as
+    wide as the CPUs this process may use (serially where that is one), but
+    no wider than keeps the drops' workspaces within ``_POOL_BUDGET_BYTES``,
+    for ``n_trials`` victims and ``n_faps`` expected FAPs per drop.
 
-    Each drop draws from its own stream and numpy releases the GIL in its
-    random fills and array loops, so drops overlap; results come back in
-    drop order.  The pool lives for this call only, so no thread outlives
-    it.  If a drop raises, or the caller is interrupted, the drops not yet
-    started are cancelled before the exception propagates.
+    One :class:`_Workspace` per thread is allocated before the pool starts,
+    and every running drop gets one as ``ws`` that no other running drop
+    holds.  Each drop draws from its own stream and numpy releases the
+    GIL in its random fills and array loops, so drops overlap; results come
+    back in drop order.  The pool and the workspaces live for this call
+    only, so no thread outlives it.  If a drop raises, or the caller is
+    interrupted, the drops not yet started are cancelled before the
+    exception propagates.
     """
-    drop_bytes = max(1.0, n_trials * n_faps * 8 * _LIVE_TRIAL_FAP_ARRAYS)
-    width = min(_usable_cpus(), n_drops, max(1, int(_POOL_BUDGET_BYTES // drop_bytes)))
-    if width <= 1:
-        return [fn(k) for k in range(n_drops)]
-    # imported here, so that runs without drops skip its 0.6 MB (logging included)
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=width,
-                              thread_name_prefix="femtoshare-drop")
+    ws_bytes = _workspace_pairs(n_trials, n_faps) * 8 * _LIVE_TRIAL_FAP_ARRAYS
+    width = min(_usable_cpus(), n_drops, max(1, _POOL_BUDGET_BYTES // max(1, ws_bytes)))
+    # made here, not in the pool threads, so that at most width exist
+    free = [_Workspace(n_trials, n_faps) for _ in range(width)]
     try:
-        return list(pool.map(fn, range(n_drops)))
+        if width <= 1:
+            return [fn(k, free[0]) for k in range(n_drops)]
+        # imported here, so that runs without drops skip its 0.6 MB (logging included)
+        from concurrent.futures import ThreadPoolExecutor
+
+        def run(k: int):
+            # list.pop and list.append are atomic, and no more than width
+            # drops run at once, so a workspace is always free here
+            ws = free.pop()
+            try:
+                return fn(k, ws)
+            finally:
+                free.append(ws)
+
+        pool = ThreadPoolExecutor(max_workers=width,
+                                  thread_name_prefix="femtoshare-drop")
+        try:
+            return list(pool.map(run, range(n_drops)))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        free.clear()   # a traceback that holds this frame keeps no workspace
 
 
 def _usable_cpus() -> int:
@@ -246,6 +310,7 @@ def _simulate_drop_outages(
     d: float,
     n_trials: int,
     rng: np.random.Generator,
+    ws: _Workspace,
     serving_power_dbm: float | None,
     serving_prob: float = 1.0,
 ) -> int:
@@ -259,7 +324,7 @@ def _simulate_drop_outages(
         sig = _received(rng, params, links.macro_to_outdoor,
                         params.p_m_subcarrier_dbm, params.g_m, d, n_trials)
         return _victim_outages(params, links, drop, False, ux, uy, sig,
-                               np.zeros(n_trials), rbs, rng)
+                               np.zeros(n_trials), rbs, rng, ws)
     sig = _received(rng, params, links.serving_fap_to_indoor,
                     serving_power_dbm, params.g_f, params.r_f, n_trials)
     fixed = _received(rng, params, links.macro_to_indoor,
@@ -270,7 +335,7 @@ def _simulate_drop_outages(
         while not mask.any():
             mask = rng.random(params.n_rb) < serving_prob
         rbs = np.flatnonzero(mask)
-    return _victim_outages(params, links, drop, True, ux, uy, sig, fixed, rbs, rng)
+    return _victim_outages(params, links, drop, True, ux, uy, sig, fixed, rbs, rng, ws)
 
 
 def estimate_op(
@@ -321,13 +386,13 @@ def estimate_op(
             serving.append((ctx.p_f_serving_dbm, 1.0))
 
     # one task per (point, drop) pair, so the pool stays busy across points
-    def drop_outages(i: int) -> int:
+    def drop_outages(i: int, ws: _Workspace) -> int:
         j, k = divmod(i, n_drops)
         rng = _drop_rng(seed, point_offset + j, k)
         drop = drop_faps(params, region, rng, power_dist=ctx.fap_power,
                          regulation=regulation)
         return _simulate_drop_outages(
-            params, links, drop, tier, float(distances[j]), n_trials, rng,
+            params, links, drop, tier, float(distances[j]), n_trials, rng, ws,
             *serving[j])
 
     counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
@@ -364,7 +429,7 @@ def estimate_ase(
     se_f = math.log2(1.0 + params.gamma_f)
     se_m = math.log2(1.0 + params.gamma_m)
 
-    def drop_terms(k: int) -> tuple[float, int]:
+    def drop_terms(k: int, ws: _Workspace) -> tuple[float, int]:
         rng = _drop_rng(seed, 0, k)
         drop = drop_faps(params, region, rng, regulation=regulation)
         in_cell = np.flatnonzero(drop.distances_to_mbs() <= params.r_m)
@@ -379,11 +444,12 @@ def estimate_ase(
                     continue
                 activity = active_rbs.size / params.n_rb
                 succ = _tagged_fue_success(
-                    params, links, drop, int(j), active_rbs, n_trials, rng)
+                    params, links, drop, int(j), active_rbs, n_trials, rng, ws)
                 density_success += activity * (succ / n_trials)
             density_success *= in_cell.size / n_tag
         # macro side: uniform victims in the cell
-        return density_success, _uniform_mue_success(params, links, drop, n_trials, rng)
+        return density_success, _uniform_mue_success(params, links, drop, n_trials,
+                                                     rng, ws)
 
     # accumulate in drop order, so the sums do not depend on the thread count
     ase_f_acc = 0.0
@@ -401,7 +467,7 @@ def estimate_ase(
                      ase_total=ase_f + ase_m)
 
 
-def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng) -> int:
+def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng, ws) -> int:
     """Success count for the edge UE of tagged FAP ``j``, conditional on
     the FAP transmitting (RBs drawn from its active set)."""
     x, y = drop.fap_positions[j]
@@ -415,10 +481,10 @@ def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng) -> in
     fixed = _received(rng, params, links.macro_to_indoor,
                       params.p_m_subcarrier_dbm, params.g_m, d_j, n_trials)
     return n_trials - _victim_outages(params, links, drop, True, ux, uy, sig, fixed,
-                                      active_rbs, rng, skip=j)
+                                      active_rbs, rng, ws, skip=j)
 
 
-def _uniform_mue_success(params, links, drop, n_trials, rng) -> int:
+def _uniform_mue_success(params, links, drop, n_trials, rng, ws) -> int:
     """Success count for macro UEs placed uniformly in the cell."""
     radius = params.r_m * np.sqrt(rng.random(n_trials))
     radius = np.maximum(radius, 1.0)
@@ -427,4 +493,4 @@ def _uniform_mue_success(params, links, drop, n_trials, rng) -> int:
                     params.p_m_subcarrier_dbm, params.g_m, radius, n_trials)
     return n_trials - _victim_outages(
         params, links, drop, False, radius * np.cos(theta), radius * np.sin(theta),
-        sig, np.zeros(n_trials), np.arange(params.n_rb), rng)
+        sig, np.zeros(n_trials), np.arange(params.n_rb), rng, ws)

@@ -32,11 +32,13 @@ class UnitDraws:
     def uniform(self, low, high, size=None):
         return np.full(size, float(low))
 
-    def standard_exponential(self, size=None):
-        return np.ones(size)
+    def standard_exponential(self, out):
+        out.fill(1.0)
+        return out
 
-    def standard_normal(self, size=None):
-        return np.zeros(size)
+    def standard_normal(self, out):
+        out.fill(0.0)
+        return out
 
     def choice(self, a, size=None):
         return np.full(size, a[0])

@@ -130,6 +130,21 @@ def test_fig2_single_femtocell_count(tmp_path):
     assert all(c["passed"] and c["detail"] == "fewer than two points" for c in monotone)
 
 
+@pytest.mark.parametrize("nf_values", [("0",), ("10", "30")], ids=["nf0", "nf10-nf30"])
+def test_fig7_with_fewer_than_three_femtocell_counts(tmp_path, nf_values):
+    # a peak inside the range needs a point on either side of it: with
+    # fewer than three points the peak-then-decline check holds vacuously
+    args = ["run", "fig7", "--drops", "6", "--trials", "60", "--out", str(tmp_path)]
+    for nf in nf_values:
+        args += ["--nf", nf]
+    assert main(args) == 0
+    summary = json.loads((tmp_path / "fig7_summary.json").read_text())
+    peak = [c for c in summary["checks"]
+            if c["name"] == "total_ase_peaks_then_declines_xi10"]
+    assert len(peak) == 1
+    assert peak[0]["passed"] and peak[0]["detail"] == "fewer than three points"
+
+
 def test_fig4_without_femtocells(tmp_path):
     # no FAP can break the macro constraint: the ceiling is infinite, so
     # fig4 leaves it out and writes both floors

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +91,8 @@ def _assert_flips_at(sir, outages_at):
 def _one_victim(params, drop, tier, d, serving_dbm=None):
     """Outage count of a single victim at (d, 0), with every gain at 1."""
     return montecarlo._simulate_drop_outages(
-        params, build_links(params), drop, tier, d, 1, UnitDraws(), serving_dbm)
+        params, build_links(params), drop, tier, d, 1, UnitDraws(),
+        montecarlo._Workspace(1, drop.n_faps), serving_dbm)
 
 
 _EMPTY = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
@@ -153,7 +156,7 @@ class TestSingleDrawSamplers:
             return montecarlo._victim_outages(
                 _with_targets(p, gamma), links, drop, False,
                 np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
-                np.array([rb]), UnitDraws())
+                np.array([rb]), UnitDraws(), montecarlo._Workspace(1, 1))
 
         _assert_flips_at(sig[0] / i_fap, lambda g: outages(g, 2))
         assert outages(sig[0] / i_fap * 1e6, 3) == 0
@@ -176,13 +179,16 @@ _LINK_NAMES = ("macro_to_outdoor", "serving_fap_to_indoor", "fap_to_outdoor",
 
 @pytest.mark.parametrize("name", _LINK_NAMES)
 def test_fading_draw_takes_the_exponential_then_lognormal_stream(name):
-    # _hq draws what exponential(size) then lognormal(mu, sigma, size) would,
-    # from the same stream positions, up to 1 ulp of exp and the product
+    # _hq fills its caller's array with what exponential(size) then
+    # lognormal(mu, sigma, size) would draw, from the same stream positions,
+    # up to 1 ulp of exp and the product
     scenario = getattr(build_links(NetworkParams()), name)
     for link in (scenario, dataclasses.replace(scenario, mu_db=-2.5)):
         size = (40, 57)
         rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-        got = montecarlo._hq(rng, link, size)
+        out, shadow = np.full(size, np.nan), np.full(size, np.nan)
+        got = montecarlo._hq(rng, link, out, shadow)
+        assert got is out
         want = ref.exponential(size=size)
         want *= ref.lognormal(DB_TO_LN * link.mu_db, DB_TO_LN * link.sigma_db, size)
         np.testing.assert_array_equal(rng.random(4), ref.random(4))
@@ -193,6 +199,10 @@ class TestKernels:
     # Each test runs at both: 2.0 is the scenario's (alpha = 4), which numpy's
     # power computes by its square fast path; 1.5 takes its general path.
     _HALF_ALPHAS = (1.5, 2.0)
+    # the dispatched kernel, the numpy path, and the loop numba compiles,
+    # run as plain Python
+    _KERNELS = (_kernels.outage_count, _kernels._numpy_outage_count,
+                _kernels._loop_outage_count)
 
     def _case(self, seed, half_alpha, n_trials=64, n_fap=17, p_scale=1e-6, skip=2,
               all_active=False):
@@ -208,12 +218,21 @@ class TestKernels:
         if all_active:
             masks[:] = True
         rb = rng.integers(0, 8, n_trials)
+        gain, dy = np.empty_like(hq), np.empty_like(hq)
         return (sig, fixed, hq, p_coef, px, py, ux, uy, half_alpha, masks,
-                rb.astype(np.int64), 3.0, 1.0, skip)
+                rb.astype(np.int64), 3.0, 1.0, skip, gain, dy)
+
+    @staticmethod
+    def _count(kernel, args):
+        # NaN in the scratch arrays reaches the count unless the kernel
+        # writes every element of them before it reads it
+        for scratch in args[-2:]:
+            scratch.fill(np.nan)
+        return kernel(*args)
 
     @staticmethod
     def _reference_count(sig, fixed, hq, p_coef, px, py, ux, uy, ha, masks,
-                         rb, gamma, md2, skip):
+                         rb, gamma, md2, skip, gain, dy):
         count = 0
         for t in range(sig.shape[0]):
             acc = fixed[t]
@@ -229,13 +248,15 @@ class TestKernels:
     def test_numba_and_numpy_paths_agree(self):
         for half_alpha, seed in itertools.product(self._HALF_ALPHAS, range(5)):
             args = self._case(seed, half_alpha)
-            assert _kernels.outage_count(*args) == _kernels._numpy_outage_count(*args)
+            assert (self._count(_kernels.outage_count, args)
+                    == self._count(_kernels._numpy_outage_count, args))
             # Without numba the assertion above compares the numpy path with
             # itself, so also run the loop numba compiles as plain Python.
             # At p_scale=1e9 the access points interfere as much as the fixed
             # term does, so the per-FAP sum decides the outages.
             loud = self._case(seed, half_alpha, p_scale=1e9)
-            assert _kernels._loop_outage_count(*loud) == _kernels._numpy_outage_count(*loud)
+            assert (self._count(_kernels._loop_outage_count, loud)
+                    == self._count(_kernels._numpy_outage_count, loud))
 
     def test_use_numba_exactly_when_numba_imports(self):
         try:
@@ -250,8 +271,8 @@ class TestKernels:
         for half_alpha in self._HALF_ALPHAS:
             args = self._case(123, half_alpha, n_trials=20, n_fap=5)
             count = self._reference_count(*args)
-            assert _kernels.outage_count(*args) == count
-            assert _kernels._numpy_outage_count(*args) == count
+            for kernel in self._KERNELS:
+                assert self._count(kernel, args) == count
 
     @pytest.mark.parametrize("skip", [-1, 2])
     @pytest.mark.parametrize("all_active", [False, True])
@@ -267,8 +288,8 @@ class TestKernels:
             silent = list(args)
             silent[3] = np.zeros_like(args[3])
             assert count > self._reference_count(*silent)
-            assert _kernels.outage_count(*args) == count
-            assert _kernels._numpy_outage_count(*args) == count
+            for kernel in self._KERNELS:
+                assert self._count(kernel, args) == count
 
 
 class TestEstimateOp:
@@ -459,11 +480,70 @@ def test_no_drop_thread_outlives_an_estimate():
     assert counts == [counts[0]] * 3
 
 
+def _track_workspaces(monkeypatch):
+    """Every workspace montecarlo allocates from now on, and those alive."""
+    made, alive = [], weakref.WeakSet()
+
+    class Tracked(montecarlo._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(threading.get_ident())
+            alive.add(self)
+
+    monkeypatch.setattr(montecarlo, "_Workspace", Tracked)
+    return made, alive
+
+
+def test_running_drops_never_share_a_workspace(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    made, alive = _track_workspaces(monkeypatch)
+    lock = threading.Lock()
+    holders = {}    # id of a workspace -> the drop running on it
+    clashes, overlap = [], []
+
+    def drop(k, ws):
+        with lock:
+            if id(ws) in holders:
+                clashes.append((holders[id(ws)], k))
+            holders[id(ws)] = k
+            overlap.append(len(holders))
+        time.sleep(0.0005)
+        with lock:
+            del holders[id(ws)]
+        return k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert montecarlo._map_drops(drop, 400, 10, 50.0) == list(range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not clashes
+    assert max(overlap) > 1   # the drops did run at the same time
+    # one workspace per pool thread, all made by the calling thread
+    assert made == [threading.get_ident()] * 4
+    gc.collect()
+    assert not alive
+
+
+def test_a_workspace_grows_for_a_drop_with_more_faps():
+    ws = montecarlo._Workspace(10, 4.0)
+    small = ws.arrays(10, 5)
+    large = ws.arrays(10, 400)
+    assert [a.shape for a in large] == [(10, 400)] * 3
+    assert all(a.flags.c_contiguous and a.dtype == np.float64 for a in large)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(large, 2))
+    assert not np.shares_memory(small[0], large[0])
+    # the larger arrays are kept for the drops that follow
+    assert np.shares_memory(ws.arrays(10, 300)[0], large[0])
+
+
 def test_a_failing_drop_cancels_the_drops_not_yet_started(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    made, alive = _track_workspaces(monkeypatch)
     started = []
 
-    def drop(k):
+    def drop(k, ws):
         started.append(k)
         if k == 0:
             raise ValueError("drop 0 failed")
@@ -476,9 +556,45 @@ def test_a_failing_drop_cancels_the_drops_not_yet_started(monkeypatch):
     # the four threads had started a few drops each, not the 4000 queued
     assert len(started) < 100
     assert threading.active_count() == before
+    # and the four workspaces went with them
+    assert len(made) == 4
+    gc.collect()
+    assert not alive
 
 
-@pytest.mark.parametrize("n_trials, width", [(80, 64), (1000, 12)])
+_FAULTS = """
+import math, resource
+import femtoshare as fs
+from femtoshare import montecarlo
+
+montecarlo._usable_cpus = lambda: 2
+params = fs.NetworkParams.from_expected_fap_count(100)
+n_drops, n_trials = 40, 80
+
+
+def minor_faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fs.estimate_op(params, "macro", [800.0], n_drops=n_drops, n_trials=n_trials, seed=1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+minor_faults()
+region = montecarlo.DROP_REGION_FACTOR * params.r_m
+out = (minor_faults(), n_drops * n_trials * params.lambda_f * math.pi * region**2)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts of getrusage are Linux's")
+def test_drops_reuse_their_memory():
+    # Two threads, each drop drawing 80 x about 900 (trial, FAP) pairs.
+    # Arrays allocated afresh for every drop fault in their pages every time
+    # (3 to 7 faults per 1000 pairs); reused workspaces fault in once.
+    faults, pairs = _run_python(_FAULTS)
+    assert faults < pairs / 1000, (faults, pairs)
+
+
+@pytest.mark.parametrize("n_trials, width", [(80, 64), (1000, 10)])
 def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, width):
     # 64 usable CPUs, but the pool is only asked for its width: two real
     # threads run the drops, and the drops themselves are stubbed out
@@ -494,6 +610,7 @@ def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, wid
     monkeypatch.setattr(montecarlo, "_simulate_drop_outages", lambda *a, **k: 0)
     params = NetworkParams.from_expected_fap_count(100)
     estimate_op(params, "macro", [500.0], n_drops=64, n_trials=n_trials, seed=1)
-    # about 900 expected FAPs in the drop region: 1000 trials hold 21.6 MB
-    # of (trial, FAP) arrays per drop, so 12 drops fit in 256 MiB
+    # about 900 expected FAPs in the drop region: a workspace for 1000
+    # trials and 1020 FAPs (four standard deviations over) holds 24.5 MB,
+    # so 10 fit in 256 MiB
     assert widths == [width]
