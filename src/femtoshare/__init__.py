@@ -5,9 +5,7 @@ from .analysis import (
     BoundContext,
     FemtoOutageBreakdown,
     dominant_interferer_rate_fue,
-    dominant_interferer_rate_mue,
     femto_outage_lower_bound,
-    femto_outage_macro_only,
     macro_outage_lower_bound,
 )
 from .model import (

@@ -11,7 +11,7 @@ outage uses the analogous single Gauss-Hermite sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -21,7 +21,6 @@ from .model import (
     LognormalDist,
     NetworkParams,
     build_links,
-    composite_fading_shadowing,
     dbm_to_mw,
     fap_power_distribution,
     mw_to_dbm,
@@ -31,11 +30,9 @@ from .model import (
 __all__ = [
     "BoundContext",
     "FemtoOutageBreakdown",
-    "femto_outage_macro_only",
     "femto_outage_lower_bound",
     "macro_outage_lower_bound",
     "dominant_interferer_rate_fue",
-    "dominant_interferer_rate_mue",
 ]
 
 # Exponent x such that exp(x) overflows float64; used to cap dominant
@@ -90,12 +87,14 @@ class FemtoOutageBreakdown:
 class BoundContext:
     """Everything the bound evaluations need, precomputed and immutable.
 
+    ``links`` carry the channel model: each link's fixed loss, antenna gain
+    and composite lognormal fit of (Rayleigh power x shadowing).
     ``fap_power`` is the per-subcarrier transmit-power distribution of
     interfering access points (lognormal over mW); ``p_f_serving_dbm`` is
     the tagged femtocell's per-subcarrier power.  ``laguerre`` and
     ``hermite`` are the ``(nodes, weights)`` of the bounds' quadrature
-    rules.  Composite channels are the lognormal fits of (Rayleigh power x
-    shadowing) per link.
+    rules.  Quantities derived from the fields are cached properties, so a
+    copy made by ``dataclasses.replace`` recomputes them.
     """
 
     params: NetworkParams
@@ -104,12 +103,6 @@ class BoundContext:
     p_f_serving_dbm: float
     laguerre: tuple[np.ndarray, np.ndarray]
     hermite: tuple[np.ndarray, np.ndarray]
-    comp_serving: LognormalDist        # serving FAP -> its indoor UE
-    comp_macro_indoor: LognormalDist   # MBS -> indoor UE
-    comp_fap_indoor: LognormalDist     # interfering FAP -> indoor UE
-    comp_macro_outdoor: LognormalDist  # MBS -> outdoor UE
-    comp_fap_outdoor: LognormalDist    # interfering FAP -> outdoor UE
-    ratio_dist: LognormalDist          # serving / macro-indoor composite ratio
 
     @classmethod
     def from_params(cls, params: NetworkParams) -> "BoundContext":
@@ -120,41 +113,18 @@ class BoundContext:
         per-subcarrier cap].
         """
         links = build_links(params)
-        comp_serving = composite_fading_shadowing(
-            links.serving_fap_to_indoor.mu_db, links.serving_fap_to_indoor.sigma_db)
-        comp_macro_indoor = composite_fading_shadowing(
-            links.macro_to_indoor.mu_db, links.macro_to_indoor.sigma_db)
-        ratio = LognormalDist(comp_serving.loc - comp_macro_indoor.loc,
-                              math.hypot(comp_serving.scale, comp_macro_indoor.scale))
         return cls(
             params=params,
             links=links,
             fap_power=fap_power_distribution(
-                _power_floor_macro_only_dbm(params, links, ratio, params.r_m),
+                _power_floor_macro_only_dbm(params, links, _channel_ratio(links),
+                                            params.r_m),
                 params.p_f_max_subcarrier_dbm),
             p_f_serving_dbm=per_subcarrier_power(params.p_f_max_total_dbm,
                                                  params.n_subcarriers),
             laguerre=make_rule("laguerre", 12),
             hermite=make_rule("hermite", 12),
-            comp_serving=comp_serving,
-            comp_macro_indoor=comp_macro_indoor,
-            comp_fap_indoor=composite_fading_shadowing(
-                links.interfering_fap_to_indoor.mu_db,
-                links.interfering_fap_to_indoor.sigma_db),
-            comp_macro_outdoor=composite_fading_shadowing(
-                links.macro_to_outdoor.mu_db, links.macro_to_outdoor.sigma_db),
-            comp_fap_outdoor=composite_fading_shadowing(
-                links.fap_to_outdoor.mu_db, links.fap_to_outdoor.sigma_db),
-            ratio_dist=ratio,
         )
-
-    def with_serving_power_dbm(self, p_dbm: float) -> "BoundContext":
-        """Copy with a different serving per-subcarrier power."""
-        return replace(self, p_f_serving_dbm=float(p_dbm))
-
-    def with_interferer_power(self, min_dbm: float, max_dbm: float) -> "BoundContext":
-        """Copy with a different interfering-power range."""
-        return replace(self, fap_power=fap_power_distribution(min_dbm, max_dbm))
 
     # -- frequently used linear quantities ---------------------------------
 
@@ -170,46 +140,42 @@ class BoundContext:
     # Computed once per context: cached_property stores into the instance
     # __dict__, which a frozen dataclass allows.
     @cached_property
+    def ratio_dist(self) -> LognormalDist:
+        """Serving over macro-indoor composite channel ratio."""
+        return _channel_ratio(self.links)
+
+    @cached_property
     def macro_b_tilde(self) -> np.ndarray:
         """Per-Hermite-node coefficient of the macro bound's void exponent,
         before the intensity, interfering-power and distance factors."""
-        p = self.params
-        a = p.alpha_mf
-        comp_out = self.comp_fap_outdoor
-        comp_sig = self.comp_macro_outdoor
+        sig, intf = self.links.macro_to_outdoor, self.links.fap_to_outdoor
+        a = intf.alpha
         nodes, _ = self.hermite
-        geo = (p.g_f * self.links.macro_to_outdoor.phi * p.gamma_m
-               / (p.g_m * self.links.fap_to_outdoor.phi)) ** (2.0 / a)
+        # interferer over signal, both at unit power and 1 m
+        geo = (self.params.gamma_m * intf.mean_rx_mw(1.0, 1.0)
+               / sig.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
         return math.pi * geo * np.exp(
-            2.0 * (comp_out.loc - comp_sig.loc
-                   - math.sqrt(2.0) * comp_sig.scale * nodes) / a
-            + 2.0 * comp_out.scale**2 / a**2)
+            2.0 * (intf.composite.loc - sig.composite.loc
+                   - math.sqrt(2.0) * sig.composite.scale * nodes) / a
+            + 2.0 * intf.composite.scale**2 / a**2)
+
+
+def _channel_ratio(links: LinkSet) -> LognormalDist:
+    """Lognormal fit of the serving over the macro-indoor composite channel."""
+    sig, intf = links.serving_fap_to_indoor.composite, links.macro_to_indoor.composite
+    return LognormalDist(sig.loc - intf.loc, math.hypot(sig.scale, intf.scale))
 
 
 def _macro_only_budget(params: NetworkParams, links: LinkSet, d):
-    """Macro-only link budget at range ``d``, mW: the product
-    p_m g_m phi_f r_f^alpha_f gamma_f / (g_f phi_mi d^alpha_fm).  Over the
-    serving power it is the channel-ratio level below which macro
-    interference alone causes a femto outage for the worst-case cell-edge
-    UE; over the ratio's ``eps_f`` quantile it is the macro-only floor."""
+    """Macro-only link budget at range ``d``, mW: gamma_f times the mean
+    macro interference at ``d`` over the mean serving signal per mW at the
+    cell edge r_f.  Over the serving power it is the channel-ratio level
+    below which macro interference alone causes a femto outage for the
+    worst-case cell-edge UE; over the ratio's ``eps_f`` quantile it is the
+    macro-only floor."""
     p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
-    num = p_m_mw * params.g_m * links.serving_fap_to_indoor.phi \
-        * params.r_f**params.alpha_f * params.gamma_f
-    return num / (params.g_f * links.macro_to_indoor.phi * d**params.alpha_fm)
-
-
-def femto_outage_macro_only(ctx: BoundContext, d):
-    """Probability that macro interference alone breaks the femto SIR
-    target, for an indoor UE whose femtocell is ``d`` meters from the MBS.
-
-    Strictly decreasing in ``d`` and in the serving power.
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance must be positive")
-    budget = _macro_only_budget(ctx.params, ctx.links, d)
-    out = ctx.ratio_dist.cdf(budget / ctx.p_serving_mw)
-    return float(out) if np.ndim(out) == 0 else out
+    return params.gamma_f * links.macro_to_indoor.mean_rx_mw(p_m_mw, d) \
+        / links.serving_fap_to_indoor.mean_rx_mw(1.0, params.r_f)
 
 
 def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
@@ -224,16 +190,15 @@ def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _dominant_interferer_rate(ctx: BoundContext, link, comp: LognormalDist,
-                              gamma: float) -> float:
+def _dominant_interferer_rate(ctx: BoundContext, link, gamma: float) -> float:
     """Spatial coefficient of the expected dominant-interferer count seen
-    by a UE over interfering ``link`` with composite channel ``comp`` and
-    SIR target ``gamma``: multiply by the FAP intensity and the power
-    margin raised to -2/alpha to get a mean count."""
-    p = ctx.params
+    by a UE over interfering ``link`` with SIR target ``gamma``: multiply
+    by the FAP intensity and the power margin raised to -2/alpha to get a
+    mean count."""
     a = link.alpha
+    comp = link.composite
     pw = ctx.fap_power
-    geo = (p.g_f * p.g_u * gamma / link.phi) ** (2.0 / a)
+    geo = (gamma * link.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
     moment = math.exp(2.0 * (comp.loc + pw.loc) / a
                       + 2.0 * (comp.scale**2 + pw.scale**2) / a**2)
     return math.pi * geo * moment
@@ -242,33 +207,13 @@ def _dominant_interferer_rate(ctx: BoundContext, link, comp: LognormalDist,
 def dominant_interferer_rate_fue(ctx: BoundContext) -> float:
     """Dominant-interferer coefficient for an indoor femto UE."""
     return _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
-                                     ctx.comp_fap_indoor, ctx.params.gamma_f)
+                                     ctx.params.gamma_f)
 
 
-def dominant_interferer_rate_mue(ctx: BoundContext) -> float:
-    """Same coefficient for an outdoor macro UE."""
-    return _dominant_interferer_rate(ctx, ctx.links.fap_to_outdoor,
-                                     ctx.comp_fap_outdoor, ctx.params.gamma_m)
-
-
-def _signal_ln_loc(ctx: BoundContext, p_serving_mw=None):
-    """Natural-log location of the received femto signal power (mW); the
-    serving power defaults to the context's."""
-    p = ctx.params
-    link = ctx.links.serving_fap_to_indoor
-    if p_serving_mw is None:
-        p_serving_mw = ctx.p_serving_mw
-    return ctx.comp_serving.loc + np.log(
-        p_serving_mw * p.g_f * p.g_u / (link.phi * p.r_f**p.alpha_f))
-
-
-def _macro_interf_ln_loc(ctx: BoundContext, d):
-    """Natural-log location of the received macro interference power (mW)
-    at range ``d``."""
-    p = ctx.params
-    link = ctx.links.macro_to_indoor
-    return ctx.comp_macro_indoor.loc + np.log(
-        ctx.p_m_mw * p.g_m * p.g_u / (link.phi * d**p.alpha_fm))
+def _rx_ln_loc(link, p_mw, d):
+    """Natural-log location of the composite-faded power (mW) received
+    over ``link`` from a transmitter of power ``p_mw`` at range ``d``."""
+    return link.composite.loc + np.log(link.mean_rx_mw(p_mw, d))
 
 
 def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
@@ -284,11 +229,12 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     if lambda_f == 0.0:
         return np.zeros(d.shape)
     p = ctx.params
+    sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
     # axes (..., Laguerre node, Hermite node)
-    mu_s = _signal_ln_loc(ctx, p_serving_mw)[..., None, None]
-    sc_s = ctx.comp_serving.scale
-    mu_i = _macro_interf_ln_loc(ctx, d)[..., None, None]
-    sc_i = ctx.comp_macro_indoor.scale
+    mu_s = _rx_ln_loc(sig, p_serving_mw, p.r_f)[..., None, None]
+    sc_s = sig.composite.scale
+    mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None, None]
+    sc_i = intf.composite.scale
     ln_gamma = math.log(p.gamma_f)
     rate = dominant_interferer_rate_fue(ctx) * lambda_f
 

@@ -24,7 +24,7 @@ from .analysis import (
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
-from .model import PARAM_FIELDS, NetworkParams, load_scenario, per_subcarrier_power
+from .model import COUNT_FIELDS, PARAM_FIELDS, NetworkParams, load_scenario
 from .montecarlo import estimate_ase, estimate_op
 from .regulation import (
     RegulationTable,
@@ -417,12 +417,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _sweep_value(name: str, text: str):
+    """One sweep value: an integer for a count field, else a float."""
+    value = float(text)
+    if name not in COUNT_FIELDS:
+        return value
+    if not value.is_integer():
+        raise ValueError(f"sweep values of {name} must be integers, got {text!r}")
+    return int(value)
+
+
+def _spec_from_args(args) -> ExperimentSpec:
+    """The run's spec, with every scenario it sets checked up front; raises
+    ValueError (OSError for an unreadable config) on bad input."""
     for flag, count in (("--drops", args.drops), ("--trials", args.trials)):
         if count is not None and count < 1:
-            print(f"{flag} must be a positive count", file=sys.stderr)
-            return 2
+            raise ValueError(f"{flag} must be a positive count")
     overrides = {}
     if args.config is not None:
         loaded = load_scenario(args.config)
@@ -432,13 +442,11 @@ def main(argv=None) -> int:
     sweep = None
     if args.sweep is not None:
         if len(args.sweep) < 2:
-            print("--sweep needs a field name and at least one value", file=sys.stderr)
-            return 2
+            raise ValueError("--sweep needs a field name and at least one value")
         name = args.sweep[0].lower()
         if name not in PARAM_FIELDS and name != "n_f":
-            print(f"unknown sweep field {args.sweep[0]!r}", file=sys.stderr)
-            return 2
-        sweep = (name, tuple(float(v) for v in args.sweep[1:]))
+            raise ValueError(f"unknown sweep field {args.sweep[0]!r}")
+        sweep = (name, tuple(_sweep_value(name, v) for v in args.sweep[1:]))
     spec = ExperimentSpec(
         preset=args.preset,
         overrides=overrides,
@@ -450,6 +458,23 @@ def main(argv=None) -> int:
         nf_values=tuple(args.nf) if args.nf else None,
         xi_values=tuple(args.xi) if args.xi else None,
     )
+    # each value given on the command line must make a valid scenario
+    points = [("n_f", v) for v in spec.nf_values or ()]
+    points += [("xi_db", v) for v in spec.xi_values or ()]
+    if sweep is not None:
+        points += [(sweep[0], v) for v in sweep[1]]
+    for name, value in points:
+        spec.params(**{name: value})
+    return spec
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        spec = _spec_from_args(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     summary = run(spec)
     for c in summary["checks"]:
         state = "pass" if c["passed"] else "FAIL"

@@ -6,15 +6,17 @@ Conventions used throughout the package:
   boundaries and in scenario files,
 * lognormal distributions are parameterized in natural-log space
   (location/scale in nats),
-* distances are meters, the carrier frequency is MHz, antenna gains fold
-  into effective powers at context construction.
+* distances are meters, the carrier frequency is MHz,
+* antenna gains live on the links: each :class:`PropagationLink` holds
+  its linear transmit x receive gain, turns a transmit power into a mean
+  received power, and holds its composite channel fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from statistics import NormalDist
 
@@ -78,27 +80,44 @@ def per_subcarrier_power(total_dbm: float, n_subcarriers: int) -> float:
 
 @dataclass(frozen=True)
 class PropagationLink:
-    """One link type: fixed loss, path-loss exponent, shadowing statistics.
+    """One link type: fixed loss, path-loss exponent, antenna gain,
+    shadowing statistics.
 
     ``phi`` is the linear fixed propagation loss (a dividing factor at
-    d = 1 m), ``alpha`` the path-loss exponent; shadowing is lognormal
-    with dB-domain mean ``mu_db`` and std ``sigma_db``.
+    d = 1 m), ``alpha`` the path-loss exponent, ``gain`` the linear
+    transmit x receive antenna gain; shadowing is lognormal with dB-domain
+    mean ``mu_db`` and std ``sigma_db``.
     """
 
     phi: float
     alpha: float
+    gain: float
     mu_db: float = 0.0
     sigma_db: float = 0.0
 
     def __post_init__(self):
         if self.phi <= 0:
             raise ValueError("fixed loss phi must be positive")
+        if self.gain <= 0:
+            raise ValueError("antenna gain must be positive")
         if self.alpha <= 2:
             # alpha > 2 is required for the planar point-process
             # interference integrals to converge.
             raise ValueError("path-loss exponent must exceed 2")
         if self.sigma_db < 0:
             raise ValueError("shadowing std must be non-negative")
+
+    def mean_rx_mw(self, p_mw, d):
+        """Mean received power (mW), before fading and shadowing, from a
+        transmitter of power ``p_mw`` at range ``d``; elementwise."""
+        return p_mw * self.gain / (self.phi * d**self.alpha)
+
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass allows; equality and hashing see only the fields.
+    @cached_property
+    def composite(self) -> "LognormalDist":
+        """Lognormal fit of this link's Rayleigh power times shadowing."""
+        return composite_fading_shadowing(self.mu_db, self.sigma_db)
 
 
 @dataclass(frozen=True)
@@ -228,11 +247,14 @@ class NetworkParams:
     n_mue_per_cell: int = 100
 
     def __post_init__(self):
+        for name in PARAM_FIELDS:
+            value = getattr(self, name)
+            if name in COUNT_FIELDS and not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not (0 < self.r_f < self.r_m):
             raise ValueError("need 0 < r_f < r_m")
-        for name in ("p_m_total_dbm", "p_f_max_total_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if not (0 <= self.eps_m < 1 and 0 <= self.eps_f < 1):
             raise ValueError("outage constraints must lie in [0, 1)")
         if self.lambda_f < 0:
@@ -293,12 +315,10 @@ class NetworkParams:
         """Co-channel macro UE density over the macrocell disc, per m^2."""
         return self.n_mue_per_cell / (math.pi * self.r_m**2)
 
-    def replace(self, **changes) -> "NetworkParams":
-        return replace(self, **changes)
 
-
-# Scenario field names, in declaration order.
+# Scenario field names, in declaration order, and those that hold counts.
 PARAM_FIELDS = tuple(f.name for f in fields(NetworkParams))
+COUNT_FIELDS = frozenset(f.name for f in fields(NetworkParams) if f.type == "int")
 
 
 @dataclass(frozen=True)
@@ -317,22 +337,24 @@ def build_links(params: NetworkParams) -> LinkSet:
 
     Fixed losses: the outdoor loss scales with the cube of the carrier
     frequency in MHz; indoor-outdoor links add one wall-partition loss,
-    femto-to-femto links add two.
+    femto-to-femto links add two.  Every link's gain is its transmitter's
+    antenna gain times the UE's.
     """
     phi_m = 10.0 ** (-7.1) * params.f_c_mhz**3
     phi_f = 10.0**3.7
     xi = float(db_to_linear(params.xi_db))
+    g_m, g_f = params.g_m * params.g_u, params.g_f * params.g_u
     return LinkSet(
         macro_to_outdoor=PropagationLink(
-            phi_m, params.alpha_m, params.mu_m_db, params.sigma_m_db),
+            phi_m, params.alpha_m, g_m, params.mu_m_db, params.sigma_m_db),
         serving_fap_to_indoor=PropagationLink(
-            phi_f, params.alpha_f, params.mu_f_db, params.sigma_f_db),
+            phi_f, params.alpha_f, g_f, params.mu_f_db, params.sigma_f_db),
         fap_to_outdoor=PropagationLink(
-            phi_f * xi, params.alpha_mf, params.mu_mf_db, params.sigma_mf_db),
+            phi_f * xi, params.alpha_mf, g_f, params.mu_mf_db, params.sigma_mf_db),
         macro_to_indoor=PropagationLink(
-            phi_m * xi, params.alpha_fm, params.mu_fm_db, params.sigma_fm_db),
+            phi_m * xi, params.alpha_fm, g_m, params.mu_fm_db, params.sigma_fm_db),
         interfering_fap_to_indoor=PropagationLink(
-            phi_f * xi**2, params.alpha_ff, params.mu_ff_db, params.sigma_ff_db),
+            phi_f * xi**2, params.alpha_ff, g_f, params.mu_ff_db, params.sigma_ff_db),
     )
 
 
@@ -351,10 +373,10 @@ def load_scenario(path) -> NetworkParams:
     unknown = set(raw).difference(PARAM_FIELDS)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    if n_f is not None and "lambda_f" not in raw:
-        r_m = raw.get("r_m", NetworkParams.r_m)
-        raw["lambda_f"] = n_f / (math.pi * r_m**2)
-    params = NetworkParams(**raw)
+    if n_f is None or "lambda_f" in raw:
+        params = NetworkParams(**raw)
+    else:
+        params = NetworkParams.from_expected_fap_count(n_f, **raw)
     if n_f is not None and not math.isclose(params.n_f, n_f, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("inconsistent n_f and lambda_f in scenario file")
     return params

@@ -158,13 +158,11 @@ def _hq(rng: np.random.Generator, link, out, shadow):
     return out
 
 
-def _received(rng: np.random.Generator, params: NetworkParams, link, p_dbm: float,
-              g_tx: float, d, n: int):
+def _received(rng: np.random.Generator, link, p_dbm: float, d, n: int):
     """Faded power (mW) that ``n`` UEs receive over ``link`` from a
-    transmitter of power ``p_dbm`` and antenna gain ``g_tx`` at range ``d``."""
-    p_mw = float(dbm_to_mw(p_dbm))
+    transmitter of power ``p_dbm`` at range ``d``."""
     hq = _hq(rng, link, np.empty(n), np.empty(n))
-    return p_mw * g_tx * params.g_u / (link.phi * d**link.alpha) * hq
+    return link.mean_rx_mw(float(dbm_to_mw(p_dbm)), d) * hq
 
 
 def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
@@ -187,9 +185,8 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
     link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
     hq_i, gain, dy = ws.arrays(n, drop.n_faps)
     _hq(rng, link, hq_i, gain)
-    # per-FAP power x gains / fixed loss; the kernel applies fading and distance
-    p_mw = np.asarray(dbm_to_mw(drop.fap_powers_dbm))
-    p_coef = p_mw * params.g_f * params.g_u / link.phi
+    # per-FAP mean power at 1 m; the kernel applies fading and distance
+    p_coef = link.mean_rx_mw(np.asarray(dbm_to_mw(drop.fap_powers_dbm)), 1.0)
     return int(_kernels.outage_count(
         sig, fixed, hq_i, p_coef,
         np.ascontiguousarray(drop.fap_positions[:, 0]),
@@ -321,14 +318,14 @@ def _simulate_drop_outages(
     uy = d * np.sin(theta)
     rbs = np.arange(params.n_rb)
     if tier == "macro":
-        sig = _received(rng, params, links.macro_to_outdoor,
-                        params.p_m_subcarrier_dbm, params.g_m, d, n_trials)
+        sig = _received(rng, links.macro_to_outdoor, params.p_m_subcarrier_dbm,
+                        d, n_trials)
         return _victim_outages(params, links, drop, False, ux, uy, sig,
                                np.zeros(n_trials), rbs, rng, ws)
-    sig = _received(rng, params, links.serving_fap_to_indoor,
-                    serving_power_dbm, params.g_f, params.r_f, n_trials)
-    fixed = _received(rng, params, links.macro_to_indoor,
-                      params.p_m_subcarrier_dbm, params.g_m, d, n_trials)
+    sig = _received(rng, links.serving_fap_to_indoor, serving_power_dbm,
+                    params.r_f, n_trials)
+    fixed = _received(rng, links.macro_to_indoor, params.p_m_subcarrier_dbm,
+                      d, n_trials)
     if serving_prob < 1.0:
         # the victim's RB follows its serving femtocell's active set
         mask = rng.random(params.n_rb) < serving_prob
@@ -474,12 +471,12 @@ def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng, ws) -
     theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
     ux = x + params.r_f * np.cos(theta)
     uy = y + params.r_f * np.sin(theta)
-    sig = _received(rng, params, links.serving_fap_to_indoor,
-                    float(drop.fap_powers_dbm[j]), params.g_f, params.r_f, n_trials)
+    sig = _received(rng, links.serving_fap_to_indoor, float(drop.fap_powers_dbm[j]),
+                    params.r_f, n_trials)
     # UEs of one femtocell share their access point's macro path loss
     d_j = max(float(np.hypot(x, y)), 1.0)
-    fixed = _received(rng, params, links.macro_to_indoor,
-                      params.p_m_subcarrier_dbm, params.g_m, d_j, n_trials)
+    fixed = _received(rng, links.macro_to_indoor, params.p_m_subcarrier_dbm,
+                      d_j, n_trials)
     return n_trials - _victim_outages(params, links, drop, True, ux, uy, sig, fixed,
                                       active_rbs, rng, ws, skip=j)
 
@@ -489,8 +486,8 @@ def _uniform_mue_success(params, links, drop, n_trials, rng, ws) -> int:
     radius = params.r_m * np.sqrt(rng.random(n_trials))
     radius = np.maximum(radius, 1.0)
     theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    sig = _received(rng, params, links.macro_to_outdoor,
-                    params.p_m_subcarrier_dbm, params.g_m, radius, n_trials)
+    sig = _received(rng, links.macro_to_outdoor, params.p_m_subcarrier_dbm,
+                    radius, n_trials)
     return n_trials - _victim_outages(
         params, links, drop, False, radius * np.cos(theta), radius * np.sin(theta),
         sig, np.zeros(n_trials), np.arange(params.n_rb), rng, ws)

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from femtoshare import BoundContext, NetworkParams
+from femtoshare import BoundContext, NetworkParams, fap_power_distribution
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,11 @@ def ctx30(params30):
 @pytest.fixture(scope="session")
 def ctx100(params100):
     return BoundContext.from_params(params100)
+
+
+def with_interferer_power(ctx, min_dbm, max_dbm):
+    """Copy of ``ctx`` whose interfering powers span [min_dbm, max_dbm]."""
+    return dataclasses.replace(ctx, fap_power=fap_power_distribution(min_dbm, max_dbm))
 
 
 class UnitDraws:

@@ -15,10 +15,9 @@ from scipy import integrate as sp_integrate
 
 from femtoshare.analysis import (
     BoundContext,
-    _macro_interf_ln_loc,
-    _signal_ln_loc,
+    _dominant_interferer_rate,
+    _rx_ln_loc,
     dominant_interferer_rate_fue,
-    dominant_interferer_rate_mue,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
@@ -32,6 +31,8 @@ from femtoshare.regulation import (
     power_floor_exact_dbm,
     rb_access_probability,
 )
+
+from conftest import with_interferer_power
 
 GRID_C3 = (400.0, 550.0, 700.0, 850.0, 1000.0)
 NF_SWEEP = (1.0, 10.0, 30.0, 60.0, 100.0)
@@ -186,10 +187,11 @@ def test_criterion_5_regulation_efficacy():
 
 def _macro_adaptive_reference(ctx: BoundContext, d: float) -> float:
     p = ctx.params
-    kappa = dominant_interferer_rate_mue(ctx)
-    mu_s = ctx.comp_macro_outdoor.loc + math.log(
-        ctx.p_m_mw * p.g_m * p.g_u / (ctx.links.macro_to_outdoor.phi * d**p.alpha_m))
-    sc = ctx.comp_macro_outdoor.scale
+    kappa = _dominant_interferer_rate(ctx, ctx.links.fap_to_outdoor, p.gamma_m)
+    link = ctx.links.macro_to_outdoor
+    mu_s = link.composite.loc + math.log(
+        ctx.p_m_mw * link.gain / (link.phi * d**p.alpha_m))
+    sc = link.composite.scale
 
     def f(z):
         expo = -(2.0 * math.sqrt(2.0) * sc * z + 2.0 * mu_s) / p.alpha_mf
@@ -207,10 +209,11 @@ def _femto_adaptive_reference(ctx: BoundContext, d: float) -> float:
     reference is accurate to ~1e-10 relative."""
     p = ctx.params
     rate = dominant_interferer_rate_fue(ctx) * p.lambda_f
-    mu_s = _signal_ln_loc(ctx)
-    sc_s = ctx.comp_serving.scale
-    mu_i = _macro_interf_ln_loc(ctx, d)
-    sc_i = ctx.comp_macro_indoor.scale
+    sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
+    mu_s = _rx_ln_loc(sig, ctx.p_serving_mw, p.r_f)
+    sc_s = sig.composite.scale
+    mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)
+    sc_i = intf.composite.scale
     ln_gamma = math.log(p.gamma_f)
 
     def y_integrand(y):
@@ -302,10 +305,10 @@ def test_criterion_7_monotonicity_suite():
     lams = params.lambda_f * np.array([0.5, 1.0, 2.0, 4.0])
     vals = [macro_outage_lower_bound(ctx30, 800.0, lambda_eff=la) for la in lams]
     checks["macro bound non-decreasing in intensity"] = bool(np.all(np.diff(vals) >= 0))
-    mus = [ctx30.with_interferer_power(-26.0 + s, -8.0 + s) for s in (0.0, 2.0, 4.0)]
+    mus = [with_interferer_power(ctx30, -26.0 + s, -8.0 + s) for s in (0.0, 2.0, 4.0)]
     vals = [macro_outage_lower_bound(c, 800.0) for c in mus]
     checks["macro bound non-decreasing in power mean"] = bool(np.all(np.diff(vals) >= 0))
-    sigs = [ctx30.with_interferer_power(-17.0 - w, -17.0 + w) for w in (1.0, 4.0, 8.0)]
+    sigs = [with_interferer_power(ctx30, -17.0 - w, -17.0 + w) for w in (1.0, 4.0, 8.0)]
     vals = [macro_outage_lower_bound(c, 800.0) for c in sigs]
     checks["macro bound non-decreasing in power spread"] = bool(np.all(np.diff(vals) >= 0))
     fl_a = [power_floor_approx_dbm(ctx30, float(d)) for d in grid]

@@ -7,37 +7,48 @@ from scipy import integrate as sp_integrate
 
 from femtoshare.analysis import (
     BoundContext,
+    _dominant_interferer_rate,
     dominant_interferer_rate_fue,
-    dominant_interferer_rate_mue,
     femto_outage_lower_bound,
-    femto_outage_macro_only,
     macro_outage_lower_bound,
     make_rule,
 )
 from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
 
+from conftest import with_interferer_power
+
+
+def _macro_only(ctx, d):
+    """The femto bound's macro-interference-only term."""
+    return femto_outage_lower_bound(ctx, d).p_macro_only
+
+
+def _mue_rate(ctx):
+    """Dominant-interferer coefficient for an outdoor macro UE."""
+    return _dominant_interferer_rate(ctx, ctx.links.fap_to_outdoor, ctx.params.gamma_m)
+
 
 def test_macro_only_edge_value_meets_constraint(ctx30):
     # serving at the cap >= the edge minimum power, so the edge outage sits
     # at or below the constraint
-    assert femto_outage_macro_only(ctx30, ctx30.params.r_m) <= ctx30.params.eps_f
+    assert _macro_only(ctx30, ctx30.params.r_m) <= ctx30.params.eps_f
 
 
 def test_macro_only_vanishes_far_away(ctx30):
-    assert femto_outage_macro_only(ctx30, 1e7) < 1e-12
+    assert _macro_only(ctx30, 1e7) < 1e-12
 
 
 def test_macro_only_monotone(ctx30):
     d = np.linspace(200.0, 1500.0, 40)
-    vals = femto_outage_macro_only(ctx30, d)
+    vals = _macro_only(ctx30, d)
     assert np.all(np.diff(vals) < 0)
-    lower_power = ctx30.with_serving_power_dbm(ctx30.p_f_serving_dbm - 3.0)
-    assert femto_outage_macro_only(lower_power, 800.0) > femto_outage_macro_only(ctx30, 800.0)
+    lower_power = dataclasses.replace(ctx30, p_f_serving_dbm=ctx30.p_f_serving_dbm - 3.0)
+    assert _macro_only(lower_power, 800.0) > _macro_only(ctx30, 800.0)
 
 
 def test_macro_only_domain_error(ctx30):
     with pytest.raises(ValueError):
-        femto_outage_macro_only(ctx30, 0.0)
+        _macro_only(ctx30, 0.0)
 
 
 def test_macro_only_against_sampled_channels(ctx30):
@@ -48,12 +59,14 @@ def test_macro_only_against_sampled_channels(ctx30):
     links = ctx30.links
     rng = np.random.default_rng(321)
     n = 1_000_000
-    sig = ctx30.p_serving_mw * p.g_f * p.g_u / (links.serving_fap_to_indoor.phi * p.r_f**p.alpha_f)
+    sig = ctx30.p_serving_mw * links.serving_fap_to_indoor.gain \
+        / (links.serving_fap_to_indoor.phi * p.r_f**p.alpha_f)
     sig = sig * rng.exponential(size=n) * rng.lognormal(0.0, DB_TO_LN * p.sigma_f_db, n)
-    intf = ctx30.p_m_mw * p.g_m * p.g_u / (links.macro_to_indoor.phi * d**p.alpha_fm)
+    intf = ctx30.p_m_mw * links.macro_to_indoor.gain \
+        / (links.macro_to_indoor.phi * d**p.alpha_fm)
     intf = intf * rng.exponential(size=n) * rng.lognormal(0.0, DB_TO_LN * p.sigma_fm_db, n)
     emp = float(np.mean(sig < p.gamma_f * intf))
-    assert femto_outage_macro_only(ctx30, d) == pytest.approx(emp, abs=0.01)
+    assert _macro_only(ctx30, d) == pytest.approx(emp, abs=0.01)
 
 
 class TestFemtoLowerBound:
@@ -114,22 +127,22 @@ class TestMacroLowerBound:
         assert np.all(np.diff(vals) > 0)
         assert macro_outage_lower_bound(ctx30, 800.0, lambda_eff=2 * params30.lambda_f) \
             > macro_outage_lower_bound(ctx30, 800.0)
-        hot = ctx30.with_interferer_power(-20.0, -4.0)
-        cold = ctx30.with_interferer_power(-24.0, -8.0)
+        hot = with_interferer_power(ctx30, -20.0, -4.0)
+        cold = with_interferer_power(ctx30, -24.0, -8.0)
         assert macro_outage_lower_bound(hot, 800.0) > macro_outage_lower_bound(cold, 800.0)
-        wide = ctx30.with_interferer_power(-30.0, -4.0)     # same mean, larger spread
-        narrow = ctx30.with_interferer_power(-22.0, -12.0)
+        wide = with_interferer_power(ctx30, -30.0, -4.0)     # same mean, larger spread
+        narrow = with_interferer_power(ctx30, -22.0, -12.0)
         assert macro_outage_lower_bound(wide, 800.0) > macro_outage_lower_bound(narrow, 800.0)
 
     def test_against_adaptive_integration(self, ctx30):
         # adaptive oracle on the signal-power integral behind the Hermite sum
         def oracle(ctx, d, lam):
             p = ctx.params
-            kappa = dominant_interferer_rate_mue(ctx)
-            mu_s = ctx.comp_macro_outdoor.loc + math.log(
-                ctx.p_m_mw * p.g_m * p.g_u
-                / (ctx.links.macro_to_outdoor.phi * d**p.alpha_m))
-            sc_s = ctx.comp_macro_outdoor.scale
+            kappa = _mue_rate(ctx)
+            link = ctx.links.macro_to_outdoor
+            mu_s = link.composite.loc + math.log(
+                ctx.p_m_mw * link.gain / (link.phi * d**p.alpha_m))
+            sc_s = link.composite.scale
 
             def f(z):
                 expo = -(2.0 * math.sqrt(2.0) * sc_s * z + 2.0 * mu_s) / p.alpha_mf
@@ -151,23 +164,23 @@ class TestMacroLowerBound:
 class TestDominantInterfererRates:
     def test_gamma_homogeneity(self, params30):
         # fixed interferer power statistics isolate the target's exponent
-        ctx = BoundContext.from_params(params30).with_interferer_power(-24.0, -8.0)
-        doubled = BoundContext.from_params(params30.replace(
-            gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)),
-        ).with_interferer_power(-24.0, -8.0)
+        ctx = with_interferer_power(BoundContext.from_params(params30), -24.0, -8.0)
+        doubled = with_interferer_power(BoundContext.from_params(dataclasses.replace(
+            params30, gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)),
+        ), -24.0, -8.0)
         ratio = dominant_interferer_rate_fue(doubled) / dominant_interferer_rate_fue(ctx)
         assert ratio == pytest.approx(2.0 ** (2.0 / params30.alpha_ff), rel=1e-9)
 
     def test_fixed_power_closed_form(self, params30):
         # degenerate interferer power: the moment factor reduces to a plain
         # power of the constant, leaving the hand-computed expression
-        ctx = BoundContext.from_params(params30).with_interferer_power(-10.0, -10.0)
+        ctx = with_interferer_power(BoundContext.from_params(params30), -10.0, -10.0)
         p = params30
-        comp = ctx.comp_fap_indoor
+        link = ctx.links.interfering_fap_to_indoor
+        comp = link.composite
         a = p.alpha_ff
         power_mw = float(dbm_to_mw(-10.0))
-        expected = math.pi * (p.g_f * p.g_u * p.gamma_f
-                              / ctx.links.interfering_fap_to_indoor.phi) ** (2 / a) \
+        expected = math.pi * (link.gain * p.gamma_f / link.phi) ** (2 / a) \
             * power_mw ** (2 / a) * math.exp(2 * comp.loc / a + 2 * comp.scale**2 / a**2)
         assert dominant_interferer_rate_fue(ctx) == pytest.approx(expected, rel=1e-12)
 
@@ -179,9 +192,9 @@ class TestDominantInterfererRates:
         rng = np.random.default_rng(77)
         n = 1_000_000
         pw = ctx100.fap_power.sample(rng, n)
-        hq_fit = ctx100.comp_fap_outdoor.sample(rng, n)
+        comp = ctx100.links.fap_to_outdoor.composite
+        hq_fit = comp.sample(rng, n)
         emp = float(np.mean((pw * hq_fit) ** (2.0 / a)))
-        comp = ctx100.comp_fap_outdoor
         analytic = math.exp(2 * (comp.loc + ctx100.fap_power.loc) / a
                             + 2 * (comp.scale**2 + ctx100.fap_power.scale**2) / a**2)
         assert analytic == pytest.approx(emp, rel=0.02)
@@ -193,23 +206,24 @@ class TestDominantInterfererRates:
         assert analytic == pytest.approx(emp_true, rel=0.06)
 
     def test_both_rates_positive_and_increasing_in_power_mean(self, ctx30):
-        hotter = ctx30.with_interferer_power(-20.0, -4.0)
+        hotter = with_interferer_power(ctx30, -20.0, -4.0)
         assert dominant_interferer_rate_fue(ctx30) > 0
-        assert dominant_interferer_rate_mue(ctx30) > 0
+        assert _mue_rate(ctx30) > 0
         assert dominant_interferer_rate_fue(hotter) > dominant_interferer_rate_fue(ctx30)
-        assert dominant_interferer_rate_mue(hotter) > dominant_interferer_rate_mue(ctx30)
+        assert _mue_rate(hotter) > _mue_rate(ctx30)
 
 
 def test_printed_form_matches_coefficient_form(ctx30):
     # the distance-explicit Hermite sum and the dominant-interferer
     # coefficient form are the same expression rearranged
     p = ctx30.params
-    kappa = dominant_interferer_rate_mue(ctx30)
+    kappa = _mue_rate(ctx30)
     b_m, v_m = ctx30.hermite
+    link = ctx30.links.macro_to_outdoor
     for d in (400.0, 700.0, 1000.0):
-        mu_s = ctx30.comp_macro_outdoor.loc + math.log(
-            ctx30.p_m_mw * p.g_m * p.g_u / (ctx30.links.macro_to_outdoor.phi * d**p.alpha_m))
-        sc_s = ctx30.comp_macro_outdoor.scale
+        mu_s = link.composite.loc + math.log(
+            ctx30.p_m_mw * link.gain / (link.phi * d**p.alpha_m))
+        sc_s = link.composite.scale
         expo = -(2.0 * math.sqrt(2.0) * sc_s * b_m + 2.0 * mu_s) / p.alpha_mf
         alt = 1.0 - float(np.sum(v_m / math.sqrt(math.pi)
                                  * np.exp(-kappa * p.lambda_f * np.exp(expo))))

@@ -35,13 +35,13 @@ def test_custom_preset_zero_intensity_baselines(tmp_path):
     assert all(abs(float(r["value"])) < 1e-12 for r in macro_bound)
     femto_bound = _read_curve(tmp_path / "custom_op_femto_bound_lambda_f0.csv")
     # with no interferer field the femto bound is the macro-only term
-    from femtoshare.analysis import BoundContext, femto_outage_macro_only
+    from femtoshare.analysis import BoundContext, femto_outage_lower_bound
     from femtoshare.model import NetworkParams
 
     ctx = BoundContext.from_params(NetworkParams(lambda_f=0.0))
     for r in femto_bound:
         assert float(r["value"]) == pytest.approx(
-            femto_outage_macro_only(ctx, float(r["x"])), rel=1e-12)
+            femto_outage_lower_bound(ctx, float(r["x"])).p_macro_only, rel=1e-12)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -108,6 +108,43 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     assert rc == 2
     assert f"{flag} must be a positive count" in capsys.readouterr().err
     assert not (tmp_path / "custom_summary.json").exists()
+
+
+@pytest.mark.parametrize("preset, args, config", [
+    ("fig6", ["--nf", "-5"], None),
+    ("fig6", ["--nf", "nan"], None),
+    ("fig3", ["--xi", "nan"], None),
+    ("custom", ["--sweep", "n_rb", "50"], None),
+    ("custom", ["--sweep", "n_rb", "100.5"], None),
+    ("custom", ["--sweep", "xi_db", "abc"], None),
+    ("custom", ["--sweep", "xi_db", "15", "10"], None),
+    ("fig3", [], '{"eps_f": 2}'),
+    ("fig3", [], "[1]"),
+    ("fig3", [], "{"),
+    ("custom", [], '{"n_rb": 50.0, "subcarriers_per_rb": 24}'),
+    ("fig3", ["--config", "no-such-scenario.json"], None),
+], ids=["nf-negative", "nf-nan", "xi-nan", "sweep-inconsistent-rb", "sweep-fractional-rb",
+        "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
+        "config-not-json", "config-float-count", "config-missing"])
+def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):
+    # every bad input is caught before a preset runs: exit 2, one line on
+    # stderr, no traceback and no output directory
+    if config is not None:
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(config)
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["run", preset, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_sweeps_a_count_field_as_integers(tmp_path):
+    rc = main(["run", "custom", "--sweep", "n_rb", "100", "--drops", "20", "--trials",
+               "200", "--out", str(tmp_path), "--seed", "3"])
+    assert rc == 0
+    assert (tmp_path / "custom_op_femto_sim_n_rb100.csv").exists()
 
 
 def test_zero_scale_is_not_replaced_by_the_preset_default(tmp_path):

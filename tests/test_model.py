@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -59,14 +60,25 @@ class TestPropagation:
 
     def test_loss_at_unit_distance_is_phi(self):
         # the simulator's received power at 1 m, with unit fading and
-        # shadowing, is the transmitted power over phi
-        params = NetworkParams()
-        links = build_links(params)
+        # shadowing, is the transmitted power times the gain over phi
+        links = build_links(NetworkParams())
         for link in (links.macro_to_outdoor, links.serving_fap_to_indoor,
                      links.fap_to_outdoor, links.macro_to_indoor,
                      links.interfering_fap_to_indoor):
-            got = _received(UnitDraws(), params, link, 0.0, 1.0, 1.0, 1)
-            assert got[0] == pytest.approx(1.0 / link.phi, rel=1e-15)
+            got = _received(UnitDraws(), link, 0.0, 1.0, 1)
+            assert got[0] == pytest.approx(link.gain / link.phi, rel=1e-15)
+
+    def test_links_carry_transmit_times_ue_gain(self):
+        params = NetworkParams(g_m_dbi=14.1, g_f_dbi=2.0, g_u_dbi=-1.5)
+        links = build_links(params)
+        g_m, g_f, g_u = (float(db_to_linear(g)) for g in (14.1, 2.0, -1.5))
+        for name, g_tx in (("macro_to_outdoor", g_m), ("serving_fap_to_indoor", g_f),
+                           ("fap_to_outdoor", g_f), ("macro_to_indoor", g_m),
+                           ("interfering_fap_to_indoor", g_f)):
+            link = getattr(links, name)
+            assert link.gain == pytest.approx(g_tx * g_u, rel=1e-15)
+            assert link.mean_rx_mw(2.0, 50.0) == pytest.approx(
+                2.0 * g_tx * g_u / (link.phi * 50.0**link.alpha), rel=1e-15)
 
     def test_wall_loss_consistency(self):
         params = NetworkParams(xi_db=10.0)
@@ -211,9 +223,18 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(alpha_ff=2.0)
 
-    def test_replace(self, params30):
-        p = params30.replace(xi_db=15.0)
-        assert p.xi_db == 15.0 and p.r_m == params30.r_m
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(NetworkParams)
+                                      if f.type == "float"])
+    def test_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NetworkParams(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["n_subcarriers", "n_rb", "subcarriers_per_rb",
+                                      "n_mue_per_cell"])
+    def test_rejects_a_float_count(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            NetworkParams(**{name: float(getattr(NetworkParams(), name))})
 
     GAINS = {"gamma_m": "gamma_m_db", "gamma_f": "gamma_f_db",
              "g_m": "g_m_dbi", "g_f": "g_f_dbi", "g_u": "g_u_dbi"}
@@ -225,7 +246,7 @@ class TestNetworkParams:
             assert value == float(db_to_linear(getattr(p, db_field)))
             # a cached value is the same object on every access
             assert getattr(p, name) is value
-        changed = p.replace(gamma_f_db=12.0)
+        changed = dataclasses.replace(p, gamma_f_db=12.0)
         assert changed.gamma_f == float(db_to_linear(12.0))
         assert p.gamma_f == float(db_to_linear(7.3))
 
@@ -250,8 +271,8 @@ class TestScenarioFile:
 
     def test_round_trip(self, tmp_path, params100):
         path = tmp_path / "scenario.json"
-        dump_scenario(params100.replace(xi_db=15.0), path)
-        assert load_scenario(path) == params100.replace(xi_db=15.0)
+        dump_scenario(dataclasses.replace(params100, xi_db=15.0), path)
+        assert load_scenario(path) == dataclasses.replace(params100, xi_db=15.0)
 
     def test_n_f_key(self, tmp_path):
         path = tmp_path / "nf.json"

@@ -79,7 +79,7 @@ class TestDropFaps:
 def _with_targets(params, gamma):
     """``params`` with both SIR targets set to the linear value ``gamma``."""
     g_db = 10.0 * math.log10(gamma)
-    return params.replace(gamma_f_db=g_db, gamma_m_db=g_db)
+    return dataclasses.replace(params, gamma_f_db=g_db, gamma_m_db=g_db)
 
 
 def _assert_flips_at(sir, outages_at):
@@ -109,10 +109,11 @@ class TestSingleDrawSamplers:
         interferer = np.array([[d + 30.0, 0.0]])   # 30 m from the victim
         drop = FemtoDrop(interferer, np.array([-10.0]), np.ones((1, 100), bool))
         serving_dbm = -7.79
-        sig = dbm_to_mw(serving_dbm) * p.g_f * p.g_u / (10**3.7 * 30.0**3)
-        i_mbs = dbm_to_mw(p.p_m_subcarrier_dbm) * p.g_m * p.g_u \
+        sig = dbm_to_mw(serving_dbm) * links.serving_fap_to_indoor.gain \
+            / (10**3.7 * 30.0**3)
+        i_mbs = dbm_to_mw(p.p_m_subcarrier_dbm) * links.macro_to_indoor.gain \
             / (links.macro_to_indoor.phi * d**4)
-        i_fap = dbm_to_mw(-10.0) * p.g_f * p.g_u \
+        i_fap = dbm_to_mw(-10.0) * links.interfering_fap_to_indoor.gain \
             / (links.interfering_fap_to_indoor.phi * 30.0**4)
         _assert_flips_at(sig / (i_mbs + i_fap), lambda g: _one_victim(
             _with_targets(p, g), drop, "femto", d, serving_dbm))
@@ -123,9 +124,9 @@ class TestSingleDrawSamplers:
         d = 600.0
         drop = FemtoDrop(np.array([[d + 50.0, 0.0]]), np.array([-12.0]),
                          np.ones((1, 100), bool))
-        sig = dbm_to_mw(p.p_m_subcarrier_dbm) * p.g_m * p.g_u \
+        sig = dbm_to_mw(p.p_m_subcarrier_dbm) * links.macro_to_outdoor.gain \
             / (links.macro_to_outdoor.phi * d**4)
-        i_fap = dbm_to_mw(-12.0) * p.g_f * p.g_u \
+        i_fap = dbm_to_mw(-12.0) * links.fap_to_outdoor.gain \
             / (links.fap_to_outdoor.phi * 50.0**4)
         _assert_flips_at(sig / i_fap, lambda g: _one_victim(
             _with_targets(p, g), drop, "macro", d))
@@ -136,9 +137,9 @@ class TestSingleDrawSamplers:
         links = build_links(p)
         drop = FemtoDrop(np.array([[700.0, 0.0]]), np.array([-10.0]),
                          np.ones((1, 100), bool))
-        sig = dbm_to_mw(p.p_m_subcarrier_dbm) * p.g_m * p.g_u \
+        sig = dbm_to_mw(p.p_m_subcarrier_dbm) * links.macro_to_outdoor.gain \
             / (links.macro_to_outdoor.phi * 700.0**4)
-        i_fap = dbm_to_mw(-10.0) * p.g_f * p.g_u / links.fap_to_outdoor.phi
+        i_fap = dbm_to_mw(-10.0) * links.fap_to_outdoor.gain / links.fap_to_outdoor.phi
         _assert_flips_at(sig / i_fap, lambda g: _one_victim(
             _with_targets(p, g), drop, "macro", 700.0))
 
@@ -150,7 +151,8 @@ class TestSingleDrawSamplers:
         masks[0, 3] = False
         drop = FemtoDrop(np.array([[500.0, 100.0]]), np.array([0.0]), masks)
         sig = np.array([1e-12])
-        i_fap = dbm_to_mw(0.0) * p.g_f * p.g_u / (links.fap_to_outdoor.phi * 100.0**4)
+        i_fap = dbm_to_mw(0.0) * links.fap_to_outdoor.gain \
+            / (links.fap_to_outdoor.phi * 100.0**4)
 
         def outages(gamma, rb):
             return montecarlo._victim_outages(
@@ -171,6 +173,18 @@ class TestSingleDrawSamplers:
         assert dbm_to_mw(params.p_m_subcarrier_dbm) == 0.0
         assert _one_victim(_with_targets(params, 1e30), _EMPTY, "femto", 500.0,
                            -7.79) == 0
+
+
+@pytest.mark.parametrize("tier", ["femto", "macro"])
+def test_ue_gain_leaves_outage_counts_unchanged(tier):
+    # the UE antenna gain scales signal and interference alike
+    estimates = {
+        g_u_dbi: [r.op_estimate for r in estimate_op(
+            NetworkParams.from_expected_fap_count(100, g_u_dbi=g_u_dbi), tier,
+            [400.0, 700.0, 1000.0], n_drops=4, n_trials=50, seed=5)]
+        for g_u_dbi in (0.0, -3.0, 5.0)}
+    assert estimates[-3.0] == estimates[0.0] == estimates[5.0]
+    assert any(estimates[0.0])
 
 
 _LINK_NAMES = ("macro_to_outdoor", "serving_fap_to_indoor", "fap_to_outdoor",
@@ -294,7 +308,7 @@ class TestKernels:
 
 class TestEstimateOp:
     def test_vanishing_target_kills_outage(self, params30):
-        params = params30.replace(gamma_f_db=-400.0, gamma_m_db=-400.0)
+        params = dataclasses.replace(params30, gamma_f_db=-400.0, gamma_m_db=-400.0)
         for tier in ("femto", "macro"):
             res = estimate_op(params, tier, [500.0], n_drops=3, n_trials=100, seed=0)
             assert res[0].op_estimate == 0.0

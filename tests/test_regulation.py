@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,6 @@ from femtoshare import regulation
 from femtoshare.analysis import (
     BoundContext,
     femto_outage_lower_bound,
-    femto_outage_macro_only,
     macro_outage_lower_bound,
 )
 from femtoshare.model import DB_TO_LN, NetworkParams
@@ -30,17 +30,19 @@ from femtoshare.regulation import (
     rb_access_probability,
 )
 
+from conftest import with_interferer_power
+
 
 class TestMinServingPower:
     def test_round_trip_defining_equation(self, ctx30):
         p_min = min_serving_power_dbm(ctx30)
-        probe = ctx30.with_serving_power_dbm(p_min)
-        op = femto_outage_macro_only(probe, ctx30.params.r_m)
+        probe = dataclasses.replace(ctx30, p_f_serving_dbm=p_min)
+        op = femto_outage_lower_bound(probe, ctx30.params.r_m).p_macro_only
         assert op == pytest.approx(ctx30.params.eps_f, abs=1e-9)
 
     def test_relaxed_constraint_lowers_power(self, params30):
-        loose = BoundContext.from_params(params30.replace(eps_f=0.9))
-        tight = BoundContext.from_params(params30.replace(eps_f=0.1))
+        loose = BoundContext.from_params(dataclasses.replace(params30, eps_f=0.9))
+        tight = BoundContext.from_params(dataclasses.replace(params30, eps_f=0.1))
         assert min_serving_power_dbm(loose) < min_serving_power_dbm(tight) - 20.0
 
     def test_below_subcarrier_cap(self, ctx30):
@@ -56,13 +58,13 @@ class TestMinDeploymentDistance:
     def test_higher_wall_loss_moves_closer(self, params30):
         d10 = min_deployment_distance(BoundContext.from_params(params30))
         d15 = min_deployment_distance(
-            BoundContext.from_params(params30.replace(xi_db=15.0)))
+            BoundContext.from_params(dataclasses.replace(params30, xi_db=15.0)))
         assert d15 < d10
 
     def test_cap_scaling_closed_form(self, params30):
         base = min_deployment_distance(BoundContext.from_params(params30))
         up10 = min_deployment_distance(BoundContext.from_params(
-            params30.replace(p_f_max_total_dbm=params30.p_f_max_total_dbm + 10.0)))
+            dataclasses.replace(params30, p_f_max_total_dbm=params30.p_f_max_total_dbm + 10.0)))
         assert up10 / base == pytest.approx(
             10.0 ** (-10.0 / (10.0 * params30.alpha_fm)), rel=1e-9)
 
@@ -92,7 +94,7 @@ class TestPowerFloors:
             approx = power_floor_approx_dbm(ctx30, float(d))
             assert exact >= approx - 1e-12
             assert abs(exact - approx) <= 0.5     # near-overlap of the two floors
-            probe = ctx30.with_serving_power_dbm(exact)
+            probe = dataclasses.replace(ctx30, p_f_serving_dbm=exact)
             op = femto_outage_lower_bound(probe, float(d)).p_total_lb
             assert op == pytest.approx(ctx30.params.eps_f, abs=1e-6)
 
@@ -222,7 +224,7 @@ class TestSolversAgainstBrent:
         p = ctx30.params
 
         def excess(p_dbm):
-            probe = ctx30.with_serving_power_dbm(p_dbm)
+            probe = dataclasses.replace(ctx30, p_f_serving_dbm=p_dbm)
             return femto_outage_lower_bound(probe, d).p_total_lb - p.eps_f
 
         ref = brentq(excess, power_floor_approx_dbm(ctx30, d), p.p_f_max_subcarrier_dbm,
@@ -237,7 +239,7 @@ class TestSolversAgainstBrent:
         min_dbm = min_serving_power_dbm(ctx)
 
         def excess(max_dbm):
-            probe = ctx.with_interferer_power(*sorted((min_dbm, max_dbm)))
+            probe = with_interferer_power(ctx, *sorted((min_dbm, max_dbm)))
             return macro_outage_lower_bound(probe, d) - p.eps_m
 
         lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
@@ -251,7 +253,7 @@ class TestPowerCeiling:
         for d in (500.0, 1000.0):
             ub = power_ceiling_dbm(ctx30, d)
             lo, hi = sorted((min_serving_power_dbm(ctx30), ub))
-            probe = ctx30.with_interferer_power(lo, hi)
+            probe = with_interferer_power(ctx30, lo, hi)
             op = macro_outage_lower_bound(probe, d, lambda_eff=p.lambda_f)
             assert op == pytest.approx(p.eps_m, abs=1e-9)
 
@@ -261,7 +263,7 @@ class TestPowerCeiling:
         assert np.all(np.diff(ubs) < 0)
         assert ubs[-1] == pytest.approx(
             min(ubs), rel=0), "edge ceiling is the binding one"
-        denser = BoundContext.from_params(params30.replace(lambda_f=2 * params30.lambda_f))
+        denser = BoundContext.from_params(dataclasses.replace(params30, lambda_f=2 * params30.lambda_f))
         assert power_ceiling_dbm(denser, 800.0) < power_ceiling_dbm(ctx30, 800.0)
 
     def test_window_relations_match_density(self, ctx30, ctx100):
@@ -290,7 +292,7 @@ class TestPowerCeiling:
 
     def test_infeasible_when_branch_minimum_exceeds_target(self, params30):
         dense = BoundContext.from_params(
-            params30.replace(lambda_f=params30.lambda_f * 1e4))
+            dataclasses.replace(params30, lambda_f=params30.lambda_f * 1e4))
         with pytest.raises(InfeasibleError):
             power_ceiling_dbm(dense, params30.r_m)
 
@@ -307,7 +309,7 @@ class TestAccessProbability:
         p = ctx100.params
         rho = rb_access_probability(ctx100)
         cap = p.p_f_max_subcarrier_dbm
-        probe = ctx100.with_interferer_power(min_serving_power_dbm(ctx100), cap)
+        probe = with_interferer_power(ctx100, min_serving_power_dbm(ctx100), cap)
         op = macro_outage_lower_bound(probe, p.r_m, lambda_eff=rho * p.lambda_f)
         assert op == pytest.approx(p.eps_m, abs=1e-6)
 
@@ -360,11 +362,11 @@ class TestDecide:
         # the floor, the midpoint and the top of the window
         for tx in (dec.p_lb_dbm, 0.5 * (dec.p_lb_dbm + dec.p_ub_dbm), dec.p_ub_dbm):
             femto = femto_outage_lower_bound(
-                ctx30.with_serving_power_dbm(tx), d).p_total_lb
+                dataclasses.replace(ctx30, p_f_serving_dbm=tx), d).p_total_lb
             assert femto <= p.eps_f + 1e-9
             lo, hi = sorted((min_serving_power_dbm(ctx30), tx))
             macro = macro_outage_lower_bound(
-                ctx30.with_interferer_power(lo, hi), d)
+                with_interferer_power(ctx30, lo, hi), d)
             assert macro <= p.eps_m + 1e-9
 
     def test_cap_clamp_just_above_min_distance(self, ctx30):
@@ -472,3 +474,24 @@ def test_package_runs_without_scipy():
     done = subprocess.run([sys.executable, "-c", _SCIPY_FREE], env=env,
                           capture_output=True, text=True, check=True, timeout=300)
     assert done.stdout.strip() == "[]"
+
+
+def test_ue_gain_leaves_bounds_and_regulation_unchanged():
+    # the UE antenna gain scales signal and interference alike, so no
+    # bound, distance, power or table may depend on it; the table's powers
+    # are floor roots, each within the solver's tolerance of the true one
+    d = np.linspace(400.0, 1000.0, 7)
+
+    def outputs(g_u_dbi):
+        ctx = BoundContext.from_params(
+            NetworkParams.from_expected_fap_count(100, g_u_dbi=g_u_dbi))
+        closed = np.concatenate([
+            femto_outage_lower_bound(ctx, d).p_total_lb, macro_outage_lower_bound(ctx, d),
+            [min_deployment_distance(ctx), power_ceiling_dbm(ctx, 700.0)]])
+        return closed, RegulationTable.build(ctx).tx_power_dbm
+
+    ref_closed, ref_table = outputs(0.0)
+    for g_u_dbi in (-3.0, 5.0):
+        closed, table = outputs(g_u_dbi)
+        np.testing.assert_allclose(closed, ref_closed, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(table, ref_table, rtol=0.0, atol=regulation._XTOL_DB)
