@@ -23,8 +23,8 @@ draws from its own ``(seed, point, drop)`` stream and the per-drop results
 are combined in drop order, so every estimate is the same, bit for bit,
 on any CPU count.
 
-A running drop keeps its (trial, FAP) arrays -- the fading draw and the
-kernel's path-gain and y-offset temporaries -- in a :class:`_Workspace`.
+A running drop keeps its two (trial, FAP) arrays -- the fading draw and
+the kernel's path gains -- in a :class:`_Workspace`.
 :func:`_map_drops` allocates one per pool thread in the calling thread
 before the pool starts, hands each running drop one that no other running
 drop holds, and drops them all when it returns or raises.  Reusing them
@@ -133,10 +133,13 @@ def drop_faps(
     pos = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
     if regulation is not None:
         tx_dbm, prob, deployed = regulation.query(radius)
-        keep = deployed
-        pos, tx_dbm, prob = pos[keep], tx_dbm[keep], prob[keep]
+        pos, tx_dbm, prob = pos[deployed], tx_dbm[deployed], prob[deployed]
         n = pos.shape[0]
-        masks = rng.random((n, params.n_rb)) < prob[:, None]
+        # rng.random((n, n_rb)) < prob[:, None], drawn 64 rows at a time
+        masks = np.empty((n, params.n_rb), dtype=bool)
+        block = np.empty((min(n, 64), params.n_rb))
+        for i in range(0, n, 64):
+            masks[i:i + 64] = rng.random(out=block[:n - i]) < prob[i:i + 64, None]
     else:
         tx_dbm = 10.0 * np.log10(power_dist.sample(rng, n)) if n else np.empty(0)
         masks = np.ones((n, params.n_rb), dtype=bool)
@@ -183,29 +186,26 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
     if drop.n_faps == 0:
         return int(np.count_nonzero((fixed > 0.0) & (sig < gamma * fixed)))
     link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
-    hq_i, gain, dy = ws.arrays(n, drop.n_faps)
+    hq_i, gain = ws.arrays(n, drop.n_faps)
     _hq(rng, link, hq_i, gain)
     # per-FAP mean power at 1 m; the kernel applies fading and distance
     p_coef = link.mean_rx_mw(np.asarray(dbm_to_mw(drop.fap_powers_dbm)), 1.0)
     return int(_kernels.outage_count(
-        sig, fixed, hq_i, p_coef,
-        np.ascontiguousarray(drop.fap_positions[:, 0]),
-        np.ascontiguousarray(drop.fap_positions[:, 1]),
-        ux, uy, link.alpha / 2.0, drop.fap_rb_masks,
-        rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain, dy))
+        sig, fixed, hq_i, p_coef, *drop.fap_positions.T, ux, uy, link.alpha / 2.0,
+        drop.fap_rb_masks, rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
 
 
 # -- batched estimation ------------------------------------------------------
 
 
 # Memory the running drops' workspaces may take in all.  A workspace holds
-# about 24 MB at 1000 trials and 900 expected FAPs, so one thread per CPU
-# would peak near 1.6 GB on 64 CPUs.
+# about 16 MB at 1000 trials and 900 expected FAPs, so one thread per CPU
+# would peak near 1.0 GB on 64 CPUs.
 _POOL_BUDGET_BYTES = 256 * 2**20
-# (trial, FAP) float64 arrays in one drop's workspace, all alive at once:
-# the fading draw and the kernel's path-gain and y-offset temporaries (the
-# path-gain array holds the draw's shadowing first).
-_LIVE_TRIAL_FAP_ARRAYS = 3
+# (trial, FAP) float64 arrays in one drop's workspace, both alive at once:
+# the fading draw and the kernel's path gains (the path-gain array holds
+# the draw's shadowing first).
+_LIVE_TRIAL_FAP_ARRAYS = 2
 
 
 def _workspace_pairs(n_trials: int, n_faps: float) -> int:
