@@ -16,7 +16,6 @@ from .model import (
     PropagationLink,
     build_links,
     composite_fading_shadowing,
-    dump_scenario,
     fap_power_distribution,
     load_scenario,
     per_subcarrier_power,

@@ -110,16 +110,21 @@ class BoundContext:
 
         The serving femtocell transmits at the power cap; interfering
         powers follow the lognormal spanning [macro-edge minimum power,
-        per-subcarrier cap].
+        per-subcarrier cap].  Raises ValueError where the cap lies below
+        that minimum.
         """
         links = build_links(params)
+        edge_min = _power_floor_macro_only_dbm(params, links, _channel_ratio(links),
+                                               params.r_m)
+        cap = params.p_f_max_subcarrier_dbm
+        if edge_min > cap:
+            raise ValueError(
+                f"the per-subcarrier power cap, {cap:.2f} dBm, lies below the "
+                f"cell-edge minimum power, {edge_min:.2f} dBm")
         return cls(
             params=params,
             links=links,
-            fap_power=fap_power_distribution(
-                _power_floor_macro_only_dbm(params, links, _channel_ratio(links),
-                                            params.r_m),
-                params.p_f_max_subcarrier_dbm),
+            fap_power=fap_power_distribution(edge_min, cap),
             p_f_serving_dbm=per_subcarrier_power(params.p_f_max_total_dbm,
                                                  params.n_subcarriers),
             laguerre=make_rule("laguerre", 12),
@@ -276,7 +281,7 @@ def femto_outage_lower_bound(ctx: BoundContext, d, lambda_f: float | None = None
     if lambda_f < 0:
         raise ValueError("lambda_f must be non-negative")
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(d_arr <= 0):
+    if not np.all(d_arr > 0):   # NaN included
         raise ValueError("distance must be positive")
     p_macro, p_comp, p_total = _femto_bound(ctx, d_arr, ctx.p_serving_mw, lambda_f)
     if np.ndim(d) == 0:
@@ -312,7 +317,7 @@ def macro_outage_lower_bound(ctx: BoundContext, d, lambda_eff: float | None = No
     if lambda_eff < 0:
         raise ValueError("lambda_eff must be non-negative")
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):   # NaN included
         raise ValueError("distance must be positive")
     out = _macro_bound(ctx, d, ctx.fap_power.loc, ctx.fap_power.scale, lambda_eff)
     return float(out) if out.ndim == 0 else out

@@ -433,6 +433,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     for flag, count in (("--drops", args.drops), ("--trials", args.trials)):
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be a positive count")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     overrides = {}
     if args.config is not None:
         loaded = load_scenario(args.config)
@@ -458,13 +460,14 @@ def _spec_from_args(args) -> ExperimentSpec:
         nf_values=tuple(args.nf) if args.nf else None,
         xi_values=tuple(args.xi) if args.xi else None,
     )
-    # each value given on the command line must make a valid scenario
+    # each value given on the command line must make a valid scenario, with
+    # a bound context: that rejects a cap below the cell-edge minimum power
     points = [("n_f", v) for v in spec.nf_values or ()]
     points += [("xi_db", v) for v in spec.xi_values or ()]
     if sweep is not None:
         points += [(sweep[0], v) for v in sweep[1]]
     for name, value in points:
-        spec.params(**{name: value})
+        BoundContext.from_params(spec.params(**{name: value}))
     return spec
 
 

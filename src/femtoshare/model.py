@@ -38,7 +38,6 @@ __all__ = [
     "mw_to_dbm",
     "db_to_linear",
     "load_scenario",
-    "dump_scenario",
 ]
 
 # dB -> natural-log conversion: x_dB corresponds to a linear factor
@@ -133,14 +132,6 @@ class LognormalDist:
     def __post_init__(self):
         if self.scale < 0:
             raise ValueError("scale must be non-negative")
-
-    @property
-    def median(self) -> float:
-        return math.exp(self.loc)
-
-    @property
-    def mean(self) -> float:
-        return math.exp(self.loc + 0.5 * self.scale**2)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -380,12 +371,3 @@ def load_scenario(path) -> NetworkParams:
     if n_f is not None and not math.isclose(params.n_f, n_f, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError("inconsistent n_f and lambda_f in scenario file")
     return params
-
-
-def dump_scenario(params: NetworkParams, path) -> None:
-    """Write a scenario to a JSON file (all fields, plus derived n_f)."""
-    data = {name: getattr(params, name) for name in PARAM_FIELDS}
-    data["n_f"] = params.n_f
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,7 +15,9 @@ drop-geometry variance than a fixed victim.
 Every estimate builds a batch of victims per drop (positions, faded
 signal, fixed interference, the RBs they may use) and hands it to
 :func:`_victim_outages`, the one path from a drop plus victims to an
-outage count and the only caller of the outage kernel.
+outage count, and the only caller of the numpy outage kernel in
+:mod:`femtoshare._kernels`.  A drop without access points takes the same
+path: the kernel's sum over no access points is zero.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .analysis import BoundContext
-from .model import DB_TO_LN, LognormalDist, NetworkParams, dbm_to_mw
+from .model import DB_TO_LN, LognormalDist, NetworkParams, dbm_to_mw, mw_to_dbm
 from .regulation import Mode, RegulationTable, decide
 
 __all__ = [
@@ -141,7 +143,7 @@ def drop_faps(
         for i in range(0, n, 64):
             masks[i:i + 64] = rng.random(out=block[:n - i]) < prob[i:i + 64, None]
     else:
-        tx_dbm = 10.0 * np.log10(power_dist.sample(rng, n)) if n else np.empty(0)
+        tx_dbm = mw_to_dbm(power_dist.sample(rng, n))
         masks = np.ones((n, params.n_rb), dtype=bool)
     return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks)
 
@@ -183,8 +185,6 @@ def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
     n = sig.shape[0]
     rb = rng.choice(rbs, size=n)
     gamma = params.gamma_f if indoor else params.gamma_m
-    if drop.n_faps == 0:
-        return int(np.count_nonzero((fixed > 0.0) & (sig < gamma * fixed)))
     link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
     hq_i, gain = ws.arrays(n, drop.n_faps)
     _hq(rng, link, hq_i, gain)
@@ -362,8 +362,8 @@ def estimate_op(
     if n_drops < 1 or n_trials < 1:
         raise ValueError("n_drops and n_trials must be >= 1")
     distances = np.atleast_1d(np.asarray(distances, dtype=float))
-    if np.any(distances <= 0):
-        raise ValueError("distances must be positive")
+    if not np.all(np.isfinite(distances) & (distances > 0)):
+        raise ValueError("distances must be finite and positive")
     ctx = BoundContext.from_params(params)
     region = DROP_REGION_FACTOR * params.r_m
     links = ctx.links

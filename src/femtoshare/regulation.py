@@ -155,8 +155,8 @@ def power_floor_approx_dbm(ctx: BoundContext, d: float) -> float:
     """Closed-form power floor: macro interference treated as the only
     outage source.  Non-increasing in ``d``; equals the cap at the minimum
     deployment distance and the edge minimum power at ``r_m``."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("distance must be finite and positive")
     p = ctx.params
     return _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)
 

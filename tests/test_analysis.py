@@ -51,6 +51,21 @@ def test_macro_only_domain_error(ctx30):
         _macro_only(ctx30, 0.0)
 
 
+@pytest.mark.parametrize("d", [math.nan, [500.0, math.nan]], ids=["scalar", "array"])
+@pytest.mark.parametrize("bound", [femto_outage_lower_bound, macro_outage_lower_bound])
+def test_bounds_reject_a_nan_distance(ctx30, bound, d):
+    with pytest.raises(ValueError, match="distance must be positive"):
+        bound(ctx30, d)
+
+
+def test_context_rejects_a_cap_below_the_edge_minimum_power():
+    # 5 dBm in all is -25.79 dBm per subcarrier, under the -24.41 dBm that
+    # a cell-edge femtocell needs against macro interference alone
+    with pytest.raises(ValueError, match="power cap, -25.79 dBm, lies below the "
+                                         "cell-edge minimum power, -24.41 dBm"):
+        BoundContext.from_params(NetworkParams(p_f_max_total_dbm=5.0))
+
+
 def test_macro_only_against_sampled_channels(ctx30):
     # sampling oracle: draw the Rayleigh-power and shadowing factors
     # separately on both links and compare the outage fraction

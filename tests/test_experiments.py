@@ -123,9 +123,12 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     ("fig3", [], "{"),
     ("custom", [], '{"n_rb": 50.0, "subcarriers_per_rb": 24}'),
     ("fig3", ["--config", "no-such-scenario.json"], None),
+    ("fig1", ["--seed", "-1"], None),
+    ("custom", ["--sweep", "p_f_max_total_dbm", "5"], None),
 ], ids=["nf-negative", "nf-nan", "xi-nan", "sweep-inconsistent-rb", "sweep-fractional-rb",
         "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
-        "config-not-json", "config-float-count", "config-missing"])
+        "config-not-json", "config-float-count", "config-missing", "seed-negative",
+        "sweep-cap-below-edge-minimum"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):
     # every bad input is caught before a preset runs: exit 2, one line on
     # stderr, no traceback and no output directory

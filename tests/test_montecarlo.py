@@ -229,10 +229,6 @@ class TestKernels:
     # Each test runs at both: 2.0 is the scenario's (alpha = 4), which numpy's
     # power computes by its square fast path; 1.5 takes its general path.
     _HALF_ALPHAS = (1.5, 2.0)
-    # the dispatched kernel, the numpy path, and the loop numba compiles,
-    # run as plain Python
-    _KERNELS = (_kernels.outage_count, _kernels._numpy_outage_count,
-                _kernels._loop_outage_count)
 
     def _case(self, seed, half_alpha, n_trials=64, n_fap=17, p_scale=1e-6, skip=2,
               all_active=False):
@@ -252,11 +248,11 @@ class TestKernels:
                 rb.astype(np.int64), 3.0, 1.0, skip, np.empty_like(hq))
 
     @staticmethod
-    def _count(kernel, args):
+    def _count(args):
         # NaN in the scratch array reaches the count unless the kernel
         # writes every element of it before it reads it
         args[-1].fill(np.nan)
-        return kernel(*args)
+        return _kernels.outage_count(*args)
 
     @staticmethod
     def _reference_interference(sig, fixed, hq, p_coef, px, py, ux, uy, ha, masks,
@@ -278,34 +274,34 @@ class TestKernels:
         sig, gamma = args[0], args[11]
         return int(np.count_nonzero((interf > 0) & (sig < gamma * interf)))
 
-    def test_numba_and_numpy_paths_agree(self):
+    def test_against_python_reference_over_seeds(self):
         for half_alpha, seed in itertools.product(self._HALF_ALPHAS, range(5)):
             args = self._case(seed, half_alpha)
-            assert (self._count(_kernels.outage_count, args)
-                    == self._count(_kernels._numpy_outage_count, args))
-            # Without numba the assertion above compares the numpy path with
-            # itself, so also run the loop numba compiles as plain Python.
+            assert self._count(args) == self._reference_count(*args)
             # At p_scale=1e9 the access points interfere as much as the fixed
             # term does, so the per-FAP sum decides the outages.
             loud = self._case(seed, half_alpha, p_scale=1e9)
-            assert (self._count(_kernels._loop_outage_count, loud)
-                    == self._count(_kernels._numpy_outage_count, loud))
-
-    def test_use_numba_exactly_when_numba_imports(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            imports = False
-        else:
-            imports = True
-        assert _kernels.USE_NUMBA is imports
+            assert self._count(loud) == self._reference_count(*loud)
 
     def test_against_python_reference(self):
         for half_alpha in self._HALF_ALPHAS:
             args = self._case(123, half_alpha, n_trials=20, n_fap=5)
+            assert self._count(args) == self._reference_count(*args)
+
+    @pytest.mark.parametrize("n_fap, skip", [(0, -1), (1, 0)])
+    def test_no_access_point_in_the_sum(self, n_fap, skip):
+        # An empty field, and a lone access point that is the skipped one:
+        # only the fixed term counts, and a victim without it is not in
+        # outage.  The fixed term is as loud as the signal here.
+        for half_alpha in self._HALF_ALPHAS:
+            args = list(self._case(11, half_alpha, n_fap=n_fap, p_scale=1e12, skip=skip))
+            args[1] = args[1] * 1e3
+            args[1][::4] = 0.0
             count = self._reference_count(*args)
-            for kernel in self._KERNELS:
-                assert self._count(kernel, args) == count
+            assert 0 < count < 48
+            if n_fap:   # the access point would add outages if it were not skipped
+                assert self._reference_count(*args[:13], -1, args[14]) > count
+            assert self._count(args) == count
 
     @pytest.mark.parametrize("skip", [-1, 2])
     @pytest.mark.parametrize("all_active", [False, True])
@@ -321,8 +317,7 @@ class TestKernels:
             silent = list(args)
             silent[3] = np.zeros_like(args[3])
             assert count > self._reference_count(*silent)
-            for kernel in self._KERNELS:
-                assert self._count(kernel, args) == count
+            assert self._count(args) == count
 
     def _near_miss_case(self, half_alpha, on_fap):
         # Access points 2.5-3 km from the origin and victims within 3 m of
@@ -349,8 +344,7 @@ class TestKernels:
         for half_alpha in self._HALF_ALPHAS:
             args = self._near_miss_case(half_alpha, on_fap)
             assert self._reference_count(*args) == 24
-            for kernel in self._KERNELS:
-                assert self._count(kernel, args) == 24
+            assert self._count(args) == 24
 
 
 class TestEstimateOp:
@@ -395,6 +389,12 @@ class TestEstimateOp:
                               n_trials=500, seed=5)[0]
             ops.append(res.op_estimate)
         assert abs(ops[1] - ops[0]) <= 0.03
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("tier", ["femto", "macro"])
+    def test_rejects_a_non_finite_distance(self, params30, tier, bad):
+        with pytest.raises(ValueError, match="distances must be finite and positive"):
+            estimate_op(params30, tier, [500.0, bad], n_drops=1, n_trials=10)
 
     def test_regulated_femto_rejects_excluded_distance(self, params30):
         with pytest.raises(ValueError):

@@ -98,6 +98,11 @@ class TestPowerFloors:
             op = femto_outage_lower_bound(probe, float(d)).p_total_lb
             assert op == pytest.approx(ctx30.params.eps_f, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_approx_floor_rejects_a_non_finite_distance(self, ctx30, bad):
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
+            power_floor_approx_dbm(ctx30, bad)
+
     def test_exact_floor_infeasible_too_close(self, ctx30):
         with pytest.raises(InfeasibleError):
             power_floor_exact_dbm(ctx30, 300.0)
@@ -456,18 +461,22 @@ _SCIPY_FREE = """
 import math, sys
 import femtoshare as fs
 
-ctx = fs.BoundContext.from_params(fs.NetworkParams.from_expected_fap_count(60.0))
+params = fs.NetworkParams.from_expected_fap_count(60.0)
+ctx = fs.BoundContext.from_params(params)
 table = fs.RegulationTable.build(ctx, d_max=3000.0)
 assert table.d_min_deploy < table.d_thinned_onset < math.inf
 dist = fs.LognormalDist(0.7, 1.3)
 dist.cdf([0.5, 2.0])
 dist.quantile([0.1, 0.9])
-print(sorted(m for m in sys.modules if m.startswith("scipy")))
+fs.estimate_op(params, "femto", [800.0], n_drops=2, n_trials=20, seed=1)
+assert fs.estimate_ase(params, n_drops=2, n_trials=20, seed=1).ase_f > 0.0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numba")))
 """
 
 
 def test_package_runs_without_scipy():
-    # a fresh interpreter: this test module imports scipy as an oracle
+    # a fresh interpreter: this test module imports scipy as an oracle; the
+    # bounds, the regulation and both estimators import neither it nor numba
     env = dict(os.environ)
     src = str(Path(femtoshare.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
