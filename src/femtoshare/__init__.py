@@ -4,7 +4,6 @@ power control, and Monte-Carlo validation."""
 from .analysis import (
     BoundContext,
     FemtoOutageBreakdown,
-    dominant_interferer_rate_fue,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )

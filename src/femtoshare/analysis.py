@@ -32,7 +32,6 @@ __all__ = [
     "FemtoOutageBreakdown",
     "femto_outage_lower_bound",
     "macro_outage_lower_bound",
-    "dominant_interferer_rate_fue",
 ]
 
 # Exponent x such that exp(x) overflows float64; used to cap dominant
@@ -159,10 +158,10 @@ class BoundContext:
         # interferer over signal, both at unit power and 1 m
         geo = (self.params.gamma_m * intf.mean_rx_mw(1.0, 1.0)
                / sig.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
-        return math.pi * geo * np.exp(
-            2.0 * (intf.composite.loc - sig.composite.loc
-                   - math.sqrt(2.0) * sig.composite.scale * nodes) / a
-            + 2.0 * intf.composite.scale**2 / a**2)
+        return math.pi * geo * np.exp(_ln_moment(
+            intf.composite.loc - sig.composite.loc
+            - math.sqrt(2.0) * sig.composite.scale * nodes,
+            intf.composite.scale**2, a))
 
 
 def _channel_ratio(links: LinkSet) -> LognormalDist:
@@ -195,6 +194,12 @@ def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _ln_moment(loc, var, a):
+    """Log of E[X^(2/a)] for a lognormal X of natural-log location ``loc``
+    and variance ``var``; elementwise."""
+    return 2.0 * loc / a + 2.0 * var / a**2
+
+
 def _dominant_interferer_rate(ctx: BoundContext, link, gamma: float) -> float:
     """Spatial coefficient of the expected dominant-interferer count seen
     by a UE over interfering ``link`` with SIR target ``gamma``: multiply
@@ -204,15 +209,8 @@ def _dominant_interferer_rate(ctx: BoundContext, link, gamma: float) -> float:
     comp = link.composite
     pw = ctx.fap_power
     geo = (gamma * link.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
-    moment = math.exp(2.0 * (comp.loc + pw.loc) / a
-                      + 2.0 * (comp.scale**2 + pw.scale**2) / a**2)
-    return math.pi * geo * moment
-
-
-def dominant_interferer_rate_fue(ctx: BoundContext) -> float:
-    """Dominant-interferer coefficient for an indoor femto UE."""
-    return _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
-                                     ctx.params.gamma_f)
+    return math.pi * geo * math.exp(
+        _ln_moment(comp.loc + pw.loc, comp.scale**2 + pw.scale**2, a))
 
 
 def _rx_ln_loc(link, p_mw, d):
@@ -221,7 +219,7 @@ def _rx_ln_loc(link, p_mw, d):
     return link.composite.loc + np.log(link.mean_rx_mw(p_mw, d))
 
 
-def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
+def _femto_composite_term(ctx: BoundContext, d, p_serving_mw):
     """Double quadrature sum for the femto-plus-macro interference term,
     one value per (distance, serving power in mW) pair of the broadcast
     arrays ``d`` and ``p_serving_mw``.
@@ -231,9 +229,9 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     void-probability factor is taken as 1 (its limit from above).
     """
     d, p_serving_mw = np.broadcast_arrays(d, p_serving_mw)
-    if lambda_f == 0.0:
-        return np.zeros(d.shape)
     p = ctx.params
+    if p.lambda_f == 0.0:
+        return np.zeros(d.shape)
     sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
     # axes (..., Laguerre node, Hermite node)
     mu_s = _rx_ln_loc(sig, p_serving_mw, p.r_f)[..., None, None]
@@ -241,7 +239,8 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None, None]
     sc_i = intf.composite.scale
     ln_gamma = math.log(p.gamma_f)
-    rate = dominant_interferer_rate_fue(ctx) * lambda_f
+    rate = _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
+                                     p.gamma_f) * p.lambda_f
 
     a_n, w_n = (x[:, None] for x in ctx.laguerre)
     b_m, v_m = (x[None, :] for x in ctx.hermite)
@@ -261,63 +260,52 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
     return np.sum(w_n * v_m * bracket * dens, axis=(-2, -1))
 
 
-def _femto_bound(ctx: BoundContext, d, p_serving_mw, lambda_f: float):
+def _femto_bound(ctx: BoundContext, d, p_serving_mw):
     """Macro-only term, composite term, and their sum clamped to 1, for
     the broadcast arrays of distances and serving powers (mW)."""
     budget = _macro_only_budget(ctx.params, ctx.links, d)
     p_macro = ctx.ratio_dist.cdf(budget / p_serving_mw)
-    p_comp = _femto_composite_term(ctx, d, p_serving_mw, lambda_f)
+    p_comp = _femto_composite_term(ctx, d, p_serving_mw)
     return p_macro, p_comp, np.minimum(p_macro + p_comp, 1.0)
 
 
-def femto_outage_lower_bound(ctx: BoundContext, d, lambda_f: float | None = None):
+def femto_outage_lower_bound(ctx: BoundContext, d):
     """Lower bound of the femto downlink outage probability at range ``d``.
 
     Returns a :class:`FemtoOutageBreakdown`; with an array ``d`` the fields
-    hold arrays.  ``lambda_f`` overrides the scenario FAP intensity.
+    hold arrays.
     """
-    if lambda_f is None:
-        lambda_f = ctx.params.lambda_f
-    if lambda_f < 0:
-        raise ValueError("lambda_f must be non-negative")
     d_arr = np.atleast_1d(np.asarray(d, dtype=float))
     if not np.all(d_arr > 0):   # NaN included
         raise ValueError("distance must be positive")
-    p_macro, p_comp, p_total = _femto_bound(ctx, d_arr, ctx.p_serving_mw, lambda_f)
+    p_macro, p_comp, p_total = _femto_bound(ctx, d_arr, ctx.p_serving_mw)
     if np.ndim(d) == 0:
         return FemtoOutageBreakdown(float(p_macro[0]), float(p_comp[0]), float(p_total[0]))
     return FemtoOutageBreakdown(p_macro, p_comp, p_total)
 
 
-def _macro_bound(ctx: BoundContext, d, power_loc, power_scale, lambda_eff: float):
+def _macro_bound(ctx: BoundContext, d, power_loc, power_scale):
     """Macro outage bound for broadcast arrays of distances and of the
     natural-log location and scale of the interfering-power lognormal."""
     p = ctx.params
     a = p.alpha_mf
-    power_factor = np.exp(2.0 * power_loc / a + 2.0 * power_scale**2 / a**2)
+    power_factor = np.exp(_ln_moment(power_loc, power_scale**2, a))
     dist_factor = (d ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
-    ln_void = -np.minimum(ctx.macro_b_tilde * lambda_eff * power_factor[..., None]
+    ln_void = -np.minimum(ctx.macro_b_tilde * p.lambda_f * power_factor[..., None]
                           * dist_factor[..., None], _EXP_CAP)
     _, weights = ctx.hermite
     out = 1.0 - np.sum(weights / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
     return np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
 
 
-def macro_outage_lower_bound(ctx: BoundContext, d, lambda_eff: float | None = None):
-    """Lower bound of the macro downlink outage probability at range ``d``.
-
-    ``lambda_eff`` is the intensity of access points transmitting in the
-    resource block (pass a thinned value to model reduced activity);
-    defaults to the scenario intensity.  Non-decreasing in ``d``, the
-    intensity, and the interferer power statistics.
+def macro_outage_lower_bound(ctx: BoundContext, d):
+    """Lower bound of the macro downlink outage probability at range ``d``,
+    every access point of the context's intensity transmitting in the
+    resource block.  Non-decreasing in ``d``, the intensity, and the
+    interferer power statistics.
     """
-    p = ctx.params
-    if lambda_eff is None:
-        lambda_eff = p.lambda_f
-    if lambda_eff < 0:
-        raise ValueError("lambda_eff must be non-negative")
     d = np.asarray(d, dtype=float)
     if not np.all(d > 0):   # NaN included
         raise ValueError("distance must be positive")
-    out = _macro_bound(ctx, d, ctx.fap_power.loc, ctx.fap_power.scale, lambda_eff)
+    out = _macro_bound(ctx, d, ctx.fap_power.loc, ctx.fap_power.scale)
     return float(out) if out.ndim == 0 else out

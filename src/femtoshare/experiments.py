@@ -29,6 +29,7 @@ from .montecarlo import estimate_ase, estimate_op
 from .regulation import (
     RegulationTable,
     min_deployment_distance,
+    min_serving_power_dbm,
     power_ceiling_dbm,
     power_floor_approx_dbm,
     power_floor_exact_dbm,
@@ -209,22 +210,31 @@ def preset_fig2(spec: ExperimentSpec):
 
 
 def preset_fig3(spec: ExperimentSpec):
-    """Minimum deployment distance versus the femtocell power cap."""
+    """Minimum deployment distance versus the femtocell power cap.  Each
+    curve leaves out the caps below its cell-edge minimum power, which no
+    power distribution can span."""
     power_grid = np.arange(10.0, 23.01, 1.0)
     xi_values = spec.xi_values or (10.0, 15.0)
     curves, checks = [], []
     per_xi = {}
     for xi in xi_values:
-        d_min = []
+        top = spec.params(xi_db=float(xi), p_f_max_total_dbm=float(power_grid[-1]))
+        edge_min = min_serving_power_dbm(BoundContext.from_params(top))
+        caps, d_min = [], []
         for p_tot in power_grid:
             params = spec.params(xi_db=float(xi), p_f_max_total_dbm=float(p_tot))
-            d_min.append(min_deployment_distance(BoundContext.from_params(params)))
-        c = Curve.analytic(f"fig3_dmin_xi{xi:g}", power_grid, d_min)
+            if params.p_f_max_subcarrier_dbm >= edge_min:
+                caps.append(p_tot)
+                d_min.append(min_deployment_distance(BoundContext.from_params(params)))
+        c = Curve.analytic(f"fig3_dmin_xi{xi:g}", caps, d_min)
         curves.append(c)
-        per_xi[xi] = np.asarray(d_min)
+        per_xi[xi] = c
         checks.append(_monotone_check(f"dmin_decreasing_in_cap_xi{xi:g}", c, "decreasing"))
     if 10.0 in per_xi and 15.0 in per_xi:
-        gap = float((per_xi[10.0] - per_xi[15.0]).min())
+        # compared over the caps both curves hold
+        c10, c15 = per_xi[10.0], per_xi[15.0]
+        _, i, j = np.intersect1d(c10.x, c15.x, return_indices=True)
+        gap = float((c10.value[i] - c15.value[j]).min())
         checks.append(_check("dmin_smaller_at_higher_wall_loss", gap > 0.0,
                              f"min(dmin(10dB) - dmin(15dB)) = {gap:.2f} m"))
     return curves, checks

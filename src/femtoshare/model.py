@@ -36,7 +36,6 @@ __all__ = [
     "per_subcarrier_power",
     "dbm_to_mw",
     "mw_to_dbm",
-    "db_to_linear",
     "load_scenario",
 ]
 
@@ -63,11 +62,6 @@ def mw_to_dbm(p_mw):
     if np.any(p <= 0):
         raise ValueError("power in mW must be positive")
     return 10.0 * np.log10(p)
-
-
-def db_to_linear(x_db):
-    """Convert a dB gain/loss/ratio to its linear factor."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def per_subcarrier_power(total_dbm: float, n_subcarriers: int) -> float:
@@ -278,28 +272,17 @@ class NetworkParams:
     def p_f_max_subcarrier_dbm(self) -> float:
         return per_subcarrier_power(self.p_f_max_total_dbm, self.n_subcarriers)
 
-    # Linear targets and gains, computed once per instance.  cached_property
-    # stores into the instance __dict__, which a frozen dataclass allows;
-    # equality and hashing see only the fields.
+    # Linear SIR targets, computed once per instance (dB to linear is the
+    # dBm-to-mW formula).  cached_property stores into the instance
+    # __dict__, which a frozen dataclass allows; equality and hashing see
+    # only the fields.
     @cached_property
     def gamma_m(self) -> float:
-        return float(db_to_linear(self.gamma_m_db))
+        return float(dbm_to_mw(self.gamma_m_db))
 
     @cached_property
     def gamma_f(self) -> float:
-        return float(db_to_linear(self.gamma_f_db))
-
-    @cached_property
-    def g_m(self) -> float:
-        return float(db_to_linear(self.g_m_dbi))
-
-    @cached_property
-    def g_f(self) -> float:
-        return float(db_to_linear(self.g_f_dbi))
-
-    @cached_property
-    def g_u(self) -> float:
-        return float(db_to_linear(self.g_u_dbi))
+        return float(dbm_to_mw(self.gamma_f_db))
 
     @property
     def mue_density(self) -> float:
@@ -333,8 +316,9 @@ def build_links(params: NetworkParams) -> LinkSet:
     """
     phi_m = 10.0 ** (-7.1) * params.f_c_mhz**3
     phi_f = 10.0**3.7
-    xi = float(db_to_linear(params.xi_db))
-    g_m, g_f = params.g_m * params.g_u, params.g_f * params.g_u
+    xi, g_m, g_f, g_u = (float(dbm_to_mw(x)) for x in (
+        params.xi_db, params.g_m_dbi, params.g_f_dbi, params.g_u_dbi))
+    g_m, g_f = g_m * g_u, g_f * g_u
     return LinkSet(
         macro_to_outdoor=PropagationLink(
             phi_m, params.alpha_m, g_m, params.mu_m_db, params.sigma_m_db),

@@ -132,33 +132,37 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
     raise RuntimeError(f"root solve did not converge in {_MAXITER} steps")
 
 
+def _distances(d):
+    """``d`` as a float, or a float array for an array ``d``; raises
+    ValueError unless every distance is finite and positive."""
+    arr = np.asarray(d, dtype=float)
+    if not ((arr > 0) & (arr < math.inf)).all():   # NaN fails both
+        raise ValueError("distance must be finite and positive")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def power_floor_approx_dbm(ctx: BoundContext, d):
+    """Closed-form power floor: macro interference treated as the only
+    outage source; elementwise over an array ``d``.  Non-increasing in
+    ``d``; equals the cap at the minimum deployment distance and the edge
+    minimum power at ``r_m``."""
+    return _power_floor_macro_only_dbm(ctx.params, ctx.links, ctx.ratio_dist, _distances(d))
+
+
 def min_serving_power_dbm(ctx: BoundContext) -> float:
     """Smallest per-subcarrier power letting a cell-edge femtocell meet its
     outage constraint against macro interference alone."""
-    p = ctx.params
-    return _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, p.r_m)
+    return power_floor_approx_dbm(ctx, ctx.params.r_m)
 
 
 def min_deployment_distance(ctx: BoundContext) -> float:
     """Closest admissible femtocell distance from the MBS: nearer than
     this, even the capped power misses the femto outage constraint."""
     p = ctx.params
-    # Invert the macro-only outage in distance at the power cap.
-    floor_at_rm = _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, p.r_m)
-    cap = p.p_f_max_subcarrier_dbm
+    # Invert the macro-only outage in distance at the power cap:
     # floor(d) = floor(r_m) * (r_m/d)^alpha_fm in linear power
-    ratio_db = floor_at_rm - cap
+    ratio_db = min_serving_power_dbm(ctx) - p.p_f_max_subcarrier_dbm
     return p.r_m * 10.0 ** (ratio_db / (10.0 * p.alpha_fm))
-
-
-def power_floor_approx_dbm(ctx: BoundContext, d: float) -> float:
-    """Closed-form power floor: macro interference treated as the only
-    outage source.  Non-increasing in ``d``; equals the cap at the minimum
-    deployment distance and the edge minimum power at ``r_m``."""
-    if not 0 < d < math.inf:
-        raise ValueError("distance must be finite and positive")
-    p = ctx.params
-    return _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)
 
 
 def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
@@ -173,10 +177,10 @@ def _floor_exact_dbm(ctx: BoundContext, d: np.ndarray):
         out = np.empty(idx.size)
         for s in range(0, idx.size, _FLOOR_BLOCK):
             blk = slice(s, s + _FLOOR_BLOCK)
-            out[blk] = _femto_bound(ctx, d[idx[blk]], p_mw[blk], p.lambda_f)[2]
+            out[blk] = _femto_bound(ctx, d[idx[blk]], p_mw[blk])[2]
         return out - p.eps_f
 
-    lo = _power_floor_macro_only_dbm(p, ctx.links, ctx.ratio_dist, d)  # excess >= 0 there
+    lo = power_floor_approx_dbm(ctx, d)  # excess >= 0 there
     at_cap = excess(np.full(d.shape, cap), np.arange(d.size))
     floor = np.full(d.shape, cap)
     solve = np.flatnonzero(lo < cap)
@@ -193,27 +197,26 @@ def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     Raises :class:`InfeasibleError` when no root lies at or below the
     per-subcarrier power cap.
     """
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    floor, feasible = _floor_exact_dbm(ctx, np.array([float(d)]))
+    floor, feasible = _floor_exact_dbm(ctx, np.array([_distances(d)]))
     if not feasible[0]:
         raise InfeasibleError(
             f"femto outage constraint unreachable at d={d:.1f} m within the power cap")
     return float(floor[0])
 
 
-def _ceiling_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
+def _ceiling_dbm(ctx: BoundContext, d: np.ndarray):
     """Power ceilings over an array of distances for interferer powers
-    spread up from ``min_dbm``, and the mask of the distances where some
-    ceiling on the admissible branch meets the macro constraint.
+    spread up from the edge minimum power, and the mask of the distances
+    where some ceiling on the admissible branch meets the macro constraint.
     Elsewhere the ceiling reads NaN.  Without femtocells it is infinite."""
     p = ctx.params
     if p.lambda_f <= 0:   # no FAP can break the macro constraint
         return np.full(d.shape, np.inf), np.ones(d.shape, dtype=bool)
+    min_dbm = min_serving_power_dbm(ctx)
 
     def deficit(max_dbm, idx):   # non-increasing in the ceiling
         loc, scale = _fap_power_ln(np.minimum(min_dbm, max_dbm), np.maximum(min_dbm, max_dbm))
-        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale, p.lambda_f)
+        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale)
 
     # left end of the branch on which the macro bound increases with the
     # ceiling (the variance term dominates further down)
@@ -248,9 +251,7 @@ def power_ceiling_dbm(ctx: BoundContext, d: float) -> float:
     :class:`InfeasibleError` when the constraint cannot be met for any
     ceiling on the admissible branch.
     """
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    ceiling, feasible = _ceiling_dbm(ctx, np.array([float(d)]), min_serving_power_dbm(ctx))
+    ceiling, feasible = _ceiling_dbm(ctx, np.array([_distances(d)]))
     if not feasible[0]:
         raise InfeasibleError(
             f"macro outage constraint unreachable at d={d:.1f} m for any power ceiling")
@@ -282,14 +283,14 @@ def rb_access_probability(ctx: BoundContext) -> float:
     return min(rho, 1.0)
 
 
-def _window_dbm(ctx: BoundContext, d: np.ndarray, min_dbm: float):
+def _window_dbm(ctx: BoundContext, d: np.ndarray):
     """Exact power floor and window top (the ceiling, capped) over an array
     of distances at or past the minimum deployment distance."""
     cap = ctx.params.p_f_max_subcarrier_dbm
     # In the boundary sliver just above the minimum deployment distance the
     # exact floor peeks over the cap; it is pinned to the cap there.
     lb = _floor_exact_dbm(ctx, d)[0]
-    ceiling, feasible = _ceiling_dbm(ctx, d, min_dbm)
+    ceiling, feasible = _ceiling_dbm(ctx, d)
     if not feasible.all():
         raise InfeasibleError("macro outage constraint unreachable at "
                               f"d={d[~feasible][0]:.1f} m for any power ceiling")
@@ -307,11 +308,10 @@ def decide(ctx: BoundContext, d: float) -> RegulationDecision:
     """Self-regulation decision for a femtocell ``d`` meters from the MBS:
     the exact power floor and the window top at ``d``, and RB thinning to
     :func:`rb_access_probability` where the window is closed."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
+    d = _distances(d)
     if d < min_deployment_distance(ctx):
         return RegulationDecision(d, math.nan, math.nan, 0.0, Mode.EXCLUDED, math.nan)
-    lb, ub = _window_dbm(ctx, np.array([float(d)]), min_serving_power_dbm(ctx))
+    lb, ub = _window_dbm(ctx, np.array([d]))
     tx = float(_tx_power_dbm(lb, ub)[0])
     lb, ub = float(lb[0]), float(ub[0])
     if lb <= ub:
@@ -350,9 +350,8 @@ class RegulationTable:
         if d_max is None:
             d_max = ctx.params.r_m
         d_min = min_deployment_distance(ctx)
-        min_dbm = min_serving_power_dbm(ctx)
         grid = np.geomspace(d_min, max(d_max, d_min * 1.001), _TABLE_POINTS)
-        lb, ub = _window_dbm(ctx, grid, min_dbm)
+        lb, ub = _window_dbm(ctx, grid)
         tx = _tx_power_dbm(lb, ub)
         rho = rb_access_probability(ctx)
         thinned = lb > ub
@@ -366,6 +365,6 @@ class RegulationTable:
             k = int(np.argmax(thinned))
             cell = slice(k - 1, k + 1)
             onset = float(_bracketed_root(
-                lambda x, i: np.subtract(*_window_dbm(ctx, x, min_dbm)[::-1]),
+                lambda x, i: np.subtract(*_window_dbm(ctx, x)[::-1]),
                 *grid[cell], *(ub - lb)[cell], grid[k], _ONSET_XTOL_M)[1][0])
         return cls(d_min, onset, rho, grid, tx)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from femtoshare import BoundContext, NetworkParams, fap_power_distribution
+from femtoshare.analysis import _dominant_interferer_rate
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,17 @@ def ctx100(params100):
 def with_interferer_power(ctx, min_dbm, max_dbm):
     """Copy of ``ctx`` whose interfering powers span [min_dbm, max_dbm]."""
     return dataclasses.replace(ctx, fap_power=fap_power_distribution(min_dbm, max_dbm))
+
+
+def with_intensity(ctx, lambda_f):
+    """Copy of ``ctx`` whose scenario has FAP intensity ``lambda_f``."""
+    return dataclasses.replace(ctx, params=dataclasses.replace(ctx.params, lambda_f=lambda_f))
+
+
+def fue_rate(ctx):
+    """Dominant-interferer coefficient for an indoor femto UE."""
+    return _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
+                                     ctx.params.gamma_f)
 
 
 class UnitDraws:

@@ -17,7 +17,6 @@ from femtoshare.analysis import (
     BoundContext,
     _dominant_interferer_rate,
     _rx_ln_loc,
-    dominant_interferer_rate_fue,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
@@ -32,7 +31,7 @@ from femtoshare.regulation import (
     rb_access_probability,
 )
 
-from conftest import with_interferer_power
+from conftest import fue_rate, with_intensity, with_interferer_power
 
 GRID_C3 = (400.0, 550.0, 700.0, 850.0, 1000.0)
 NF_SWEEP = (1.0, 10.0, 30.0, 60.0, 100.0)
@@ -159,8 +158,12 @@ def test_criterion_5_regulation_efficacy():
     to the cap and the realized femto outage sits ~0.001 above the target by
     construction (the boundary is calibrated on the macro-interference term
     alone, with no headroom left for the femto-tier term), which is inside
-    the criterion's 2-sigma allowance but a knife edge; from +2% on, the
-    margin policy has room and the true OP drops below the target.
+    the criterion's 2-sigma allowance but a knife edge.  From +2% on, the
+    window's margin gives an open window room to meet the target, but a
+    thinned access point transmits at the floor itself: at N_F = 100 the
+    exact femto outage still exceeds the target, by up to 0.0009 (0.10089
+    at 514 m).  So this check passes there only through its 2-sigma
+    allowance, and fails on 3 of the seeds 501-506.
     """
     worst = -math.inf
     worst_at = None
@@ -208,7 +211,7 @@ def _femto_adaptive_reference(ctx: BoundContext, d: float) -> float:
     square-root substitution removes the endpoint singularity, so the
     reference is accurate to ~1e-10 relative."""
     p = ctx.params
-    rate = dominant_interferer_rate_fue(ctx) * p.lambda_f
+    rate = fue_rate(ctx) * p.lambda_f
     sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
     mu_s = _rx_ln_loc(sig, ctx.p_serving_mw, p.r_f)
     sc_s = sig.composite.scale
@@ -303,7 +306,7 @@ def test_criterion_7_monotonicity_suite():
     macro_lb = macro_outage_lower_bound(ctx30, grid)
     checks["macro bound non-decreasing in d"] = bool(np.all(np.diff(macro_lb) >= 0))
     lams = params.lambda_f * np.array([0.5, 1.0, 2.0, 4.0])
-    vals = [macro_outage_lower_bound(ctx30, 800.0, lambda_eff=la) for la in lams]
+    vals = [macro_outage_lower_bound(with_intensity(ctx30, la), 800.0) for la in lams]
     checks["macro bound non-decreasing in intensity"] = bool(np.all(np.diff(vals) >= 0))
     mus = [with_interferer_power(ctx30, -26.0 + s, -8.0 + s) for s in (0.0, 2.0, 4.0)]
     vals = [macro_outage_lower_bound(c, 800.0) for c in mus]

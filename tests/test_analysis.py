@@ -8,14 +8,13 @@ from scipy import integrate as sp_integrate
 from femtoshare.analysis import (
     BoundContext,
     _dominant_interferer_rate,
-    dominant_interferer_rate_fue,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
     make_rule,
 )
 from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
 
-from conftest import with_interferer_power
+from conftest import fue_rate, with_intensity, with_interferer_power
 
 
 def _macro_only(ctx, d):
@@ -86,7 +85,7 @@ def test_macro_only_against_sampled_channels(ctx30):
 
 class TestFemtoLowerBound:
     def test_zero_intensity_collapses_to_macro_term(self, ctx30):
-        bd = femto_outage_lower_bound(ctx30, 700.0, lambda_f=0.0)
+        bd = femto_outage_lower_bound(with_intensity(ctx30, 0.0), 700.0)
         assert bd.p_composite == 0.0
         assert bd.p_total_lb == bd.p_macro_only
 
@@ -100,7 +99,7 @@ class TestFemtoLowerBound:
         # branch, so even absurd intensities keep the sum a probability
         for lam in (1e-3, 1e-1, 1.0):
             for d in (10.0, 50.0, 385.0, 1000.0):
-                bd = femto_outage_lower_bound(ctx30, d, lambda_f=lam)
+                bd = femto_outage_lower_bound(with_intensity(ctx30, lam), d)
                 total = min(bd.p_macro_only + bd.p_composite, 1.0)
                 assert bd.p_total_lb == pytest.approx(total, abs=1e-15)
                 assert 0.0 <= bd.p_total_lb <= 1.0
@@ -134,14 +133,14 @@ class TestFemtoLowerBound:
 
 class TestMacroLowerBound:
     def test_zero_intensity_is_exact_zero(self, ctx30):
-        assert macro_outage_lower_bound(ctx30, 500.0, lambda_eff=0.0) < 1e-12
+        assert macro_outage_lower_bound(with_intensity(ctx30, 0.0), 500.0) < 1e-12
 
     def test_monotonicities(self, ctx30, params30):
         d = np.linspace(300.0, 1000.0, 15)
         vals = macro_outage_lower_bound(ctx30, d)
         assert np.all(np.diff(vals) > 0)
-        assert macro_outage_lower_bound(ctx30, 800.0, lambda_eff=2 * params30.lambda_f) \
-            > macro_outage_lower_bound(ctx30, 800.0)
+        denser = with_intensity(ctx30, 2 * params30.lambda_f)
+        assert macro_outage_lower_bound(denser, 800.0) > macro_outage_lower_bound(ctx30, 800.0)
         hot = with_interferer_power(ctx30, -20.0, -4.0)
         cold = with_interferer_power(ctx30, -24.0, -8.0)
         assert macro_outage_lower_bound(hot, 800.0) > macro_outage_lower_bound(cold, 800.0)
@@ -183,7 +182,7 @@ class TestDominantInterfererRates:
         doubled = with_interferer_power(BoundContext.from_params(dataclasses.replace(
             params30, gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)),
         ), -24.0, -8.0)
-        ratio = dominant_interferer_rate_fue(doubled) / dominant_interferer_rate_fue(ctx)
+        ratio = fue_rate(doubled) / fue_rate(ctx)
         assert ratio == pytest.approx(2.0 ** (2.0 / params30.alpha_ff), rel=1e-9)
 
     def test_fixed_power_closed_form(self, params30):
@@ -197,7 +196,7 @@ class TestDominantInterfererRates:
         power_mw = float(dbm_to_mw(-10.0))
         expected = math.pi * (link.gain * p.gamma_f / link.phi) ** (2 / a) \
             * power_mw ** (2 / a) * math.exp(2 * comp.loc / a + 2 * comp.scale**2 / a**2)
-        assert dominant_interferer_rate_fue(ctx) == pytest.approx(expected, rel=1e-12)
+        assert fue_rate(ctx) == pytest.approx(expected, rel=1e-12)
 
     def test_power_moment_against_sampling(self, ctx100):
         # E[(P*H*Q)^(2/alpha)] via the lognormal moment formula vs the
@@ -222,9 +221,9 @@ class TestDominantInterfererRates:
 
     def test_both_rates_positive_and_increasing_in_power_mean(self, ctx30):
         hotter = with_interferer_power(ctx30, -20.0, -4.0)
-        assert dominant_interferer_rate_fue(ctx30) > 0
+        assert fue_rate(ctx30) > 0
         assert _mue_rate(ctx30) > 0
-        assert dominant_interferer_rate_fue(hotter) > dominant_interferer_rate_fue(ctx30)
+        assert fue_rate(hotter) > fue_rate(ctx30)
         assert _mue_rate(hotter) > _mue_rate(ctx30)
 
 

@@ -24,6 +24,14 @@ def test_fig3_preset_reference_crossing(tmp_path):
     assert all(float(r["std_err"]) == 0.0 for r in rows)
 
 
+def test_fig3_leaves_out_caps_below_the_edge_minimum_power(tmp_path):
+    # at 5 dB wall loss the cell-edge minimum is -19.41 dBm per subcarrier,
+    # above the 10 and 11 dBm caps (-20.79 and -19.79 dBm per subcarrier)
+    assert main(["run", "fig3", "--xi", "5", "--out", str(tmp_path)]) == 0
+    rows = _read_curve(tmp_path / "fig3_dmin_xi5.csv")
+    assert [float(r["x"]) for r in rows] == [float(x) for x in range(12, 24)]
+
+
 def test_custom_preset_zero_intensity_baselines(tmp_path):
     spec = ExperimentSpec(preset="custom", sweep=("lambda_f", (0.0,)),
                           n_drops=10, n_trials=400, out_dir=tmp_path)

@@ -15,7 +15,6 @@ from femtoshare.model import (
     NetworkParams,
     build_links,
     composite_fading_shadowing,
-    db_to_linear,
     dbm_to_mw,
     fap_power_distribution,
     load_scenario,
@@ -70,7 +69,7 @@ class TestPropagation:
     def test_links_carry_transmit_times_ue_gain(self):
         params = NetworkParams(g_m_dbi=14.1, g_f_dbi=2.0, g_u_dbi=-1.5)
         links = build_links(params)
-        g_m, g_f, g_u = (float(db_to_linear(g)) for g in (14.1, 2.0, -1.5))
+        g_m, g_f, g_u = (float(dbm_to_mw(g)) for g in (14.1, 2.0, -1.5))
         for name, g_tx in (("macro_to_outdoor", g_m), ("serving_fap_to_indoor", g_f),
                            ("fap_to_outdoor", g_f), ("macro_to_indoor", g_m),
                            ("interfering_fap_to_indoor", g_f)):
@@ -235,19 +234,18 @@ class TestNetworkParams:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             NetworkParams(**{name: float(getattr(NetworkParams(), name))})
 
-    GAINS = {"gamma_m": "gamma_m_db", "gamma_f": "gamma_f_db",
-             "g_m": "g_m_dbi", "g_f": "g_f_dbi", "g_u": "g_u_dbi"}
+    GAINS = {"gamma_m": "gamma_m_db", "gamma_f": "gamma_f_db"}
 
     def test_linear_gains_computed_once(self):
-        p = NetworkParams(gamma_f_db=7.3, g_m_dbi=14.1, g_u_dbi=-1.5)
+        p = NetworkParams(gamma_m_db=4.1, gamma_f_db=7.3)
         for name, db_field in self.GAINS.items():
             value = getattr(p, name)
-            assert value == float(db_to_linear(getattr(p, db_field)))
+            assert value == float(dbm_to_mw(getattr(p, db_field)))
             # a cached value is the same object on every access
             assert getattr(p, name) is value
         changed = dataclasses.replace(p, gamma_f_db=12.0)
-        assert changed.gamma_f == float(db_to_linear(12.0))
-        assert p.gamma_f == float(db_to_linear(7.3))
+        assert changed.gamma_f == float(dbm_to_mw(12.0))
+        assert p.gamma_f == float(dbm_to_mw(7.3))
 
     def test_cached_gains_leave_equality_hash_and_pickle_alone(self):
         warm = NetworkParams.from_expected_fap_count(30)

@@ -30,7 +30,7 @@ from femtoshare.regulation import (
     rb_access_probability,
 )
 
-from conftest import with_interferer_power
+from conftest import with_intensity, with_interferer_power
 
 
 class TestMinServingPower:
@@ -102,6 +102,22 @@ class TestPowerFloors:
     def test_approx_floor_rejects_a_non_finite_distance(self, ctx30, bad):
         with pytest.raises(ValueError, match="distance must be finite and positive"):
             power_floor_approx_dbm(ctx30, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("solve", [power_floor_exact_dbm, power_ceiling_dbm, decide])
+    def test_solvers_reject_a_non_finite_distance(self, ctx30, solve, bad):
+        # matched on the message: InfeasibleError is a ValueError too
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
+            solve(ctx30, bad)
+
+    def test_approx_floor_is_elementwise(self, ctx30):
+        grid = np.linspace(min_deployment_distance(ctx30), ctx30.params.r_m, 7)
+        floors = power_floor_approx_dbm(ctx30, grid)
+        assert floors.shape == grid.shape
+        for d, floor in zip(grid, floors):
+            assert floor == pytest.approx(power_floor_approx_dbm(ctx30, float(d)), rel=1e-15)
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
+            power_floor_approx_dbm(ctx30, np.array([500.0, math.nan]))
 
     def test_exact_floor_infeasible_too_close(self, ctx30):
         with pytest.raises(InfeasibleError):
@@ -200,10 +216,10 @@ class TestBoundEvaluations:
         count = {"calls": 0, "points": 0}
         bound = regulation._femto_bound
 
-        def counting(ctx, d, p_mw, lambda_f):
+        def counting(ctx, d, p_mw):
             count["calls"] += 1
             count["points"] += np.size(d)
-            return bound(ctx, d, p_mw, lambda_f)
+            return bound(ctx, d, p_mw)
 
         monkeypatch.setattr(regulation, "_femto_bound", counting)
         return count
@@ -259,7 +275,7 @@ class TestPowerCeiling:
             ub = power_ceiling_dbm(ctx30, d)
             lo, hi = sorted((min_serving_power_dbm(ctx30), ub))
             probe = with_interferer_power(ctx30, lo, hi)
-            op = macro_outage_lower_bound(probe, d, lambda_eff=p.lambda_f)
+            op = macro_outage_lower_bound(probe, d)
             assert op == pytest.approx(p.eps_m, abs=1e-9)
 
     def test_non_increasing_in_distance_and_intensity(self, ctx30, params30):
@@ -315,7 +331,7 @@ class TestAccessProbability:
         rho = rb_access_probability(ctx100)
         cap = p.p_f_max_subcarrier_dbm
         probe = with_interferer_power(ctx100, min_serving_power_dbm(ctx100), cap)
-        op = macro_outage_lower_bound(probe, p.r_m, lambda_eff=rho * p.lambda_f)
+        op = macro_outage_lower_bound(with_intensity(probe, rho * p.lambda_f), p.r_m)
         assert op == pytest.approx(p.eps_m, abs=1e-6)
 
     def test_matches_defining_property_formula(self, ctx100):
