@@ -11,8 +11,8 @@ outage uses the analogous single Gauss-Hermite sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import (
     dbm_to_mw,
     fap_power_distribution,
     mw_to_dbm,
-    per_subcarrier_power,
 )
 
 __all__ = [
@@ -37,9 +36,13 @@ __all__ = [
 # Exponent x such that exp(x) overflows float64; used to cap dominant
 # interferer counts whose void probability is already exactly 0.
 _EXP_CAP = 700.0
+# Nodes of each of the bounds' Gauss-Laguerre and Gauss-Hermite rules.
+_QUADRATURE_ORDER = 12
+# A context's derived values: set when it is built, not arguments.
+_derived = functools.partial(field, init=False, repr=False, compare=False)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def make_rule(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``(nodes, weights)`` of the ``order``-point Gauss rule for
     ``kind`` ``"laguerre"`` (weight e^-x on [0, inf)) or ``"hermite"``
@@ -86,51 +89,69 @@ class FemtoOutageBreakdown:
 class BoundContext:
     """Everything the bound evaluations need, precomputed and immutable.
 
+    ``params`` is the only field a context takes: every other value is
+    derived from it when the context is built, so a copy made by
+    ``dataclasses.replace(ctx, params=...)`` is rebuilt for the new
+    scenario, and two contexts are equal, and hash alike, exactly when
+    their scenarios are.
+
     ``links`` carry the channel model: each link's fixed loss, antenna gain
     and composite lognormal fit of (Rayleigh power x shadowing).
     ``fap_power`` is the per-subcarrier transmit-power distribution of
-    interfering access points (lognormal over mW); ``p_f_serving_dbm`` is
-    the tagged femtocell's per-subcarrier power.  ``laguerre`` and
-    ``hermite`` are the ``(nodes, weights)`` of the bounds' quadrature
-    rules.  Quantities derived from the fields are cached properties, so a
-    copy made by ``dataclasses.replace`` recomputes them.
+    interfering access points (lognormal over mW), spanning [macro-edge
+    minimum power, per-subcarrier cap]; the tagged femtocell serves at the
+    cap.  ``laguerre`` and ``hermite`` are the ``(nodes, weights)`` of the
+    bounds' quadrature rules.  Raises ValueError where the cap lies below
+    the edge minimum power.
     """
 
     params: NetworkParams
-    links: LinkSet
-    fap_power: LognormalDist
-    p_f_serving_dbm: float
-    laguerre: tuple[np.ndarray, np.ndarray]
-    hermite: tuple[np.ndarray, np.ndarray]
+    links: LinkSet = _derived()
+    fap_power: LognormalDist = _derived()
+    laguerre: tuple[np.ndarray, np.ndarray] = _derived()
+    hermite: tuple[np.ndarray, np.ndarray] = _derived()
+    # serving over macro-indoor composite channel ratio
+    ratio_dist: LognormalDist = _derived()
+    # per-Hermite-node coefficient of the macro bound's void exponent,
+    # before the intensity, interfering-power and distance factors
+    macro_b_tilde: np.ndarray = _derived()
 
-    @classmethod
-    def from_params(cls, params: NetworkParams) -> "BoundContext":
-        """Build a context from scenario parameters.
-
-        The serving femtocell transmits at the power cap; interfering
-        powers follow the lognormal spanning [macro-edge minimum power,
-        per-subcarrier cap].  Raises ValueError where the cap lies below
-        that minimum.
-        """
-        links = build_links(params)
-        edge_min = _power_floor_macro_only_dbm(params, links, _channel_ratio(links),
-                                               params.r_m)
-        cap = params.p_f_max_subcarrier_dbm
+    def __post_init__(self):
+        p, links = self.params, build_links(self.params)
+        derive = functools.partial(object.__setattr__, self)   # the class is frozen
+        derive("links", links)
+        derive("laguerre", make_rule("laguerre", _QUADRATURE_ORDER))
+        derive("hermite", make_rule("hermite", _QUADRATURE_ORDER))
+        sig, intf = links.serving_fap_to_indoor.composite, links.macro_to_indoor.composite
+        derive("ratio_dist", LognormalDist(sig.loc - intf.loc, math.hypot(sig.scale, intf.scale)))
+        edge_min = _power_floor_macro_only_dbm(self, p.r_m)
+        cap = p.p_f_max_subcarrier_dbm
         if edge_min > cap:
             raise ValueError(
                 f"the per-subcarrier power cap, {cap:.2f} dBm, lies below the "
                 f"cell-edge minimum power, {edge_min:.2f} dBm")
-        return cls(
-            params=params,
-            links=links,
-            fap_power=fap_power_distribution(edge_min, cap),
-            p_f_serving_dbm=per_subcarrier_power(params.p_f_max_total_dbm,
-                                                 params.n_subcarriers),
-            laguerre=make_rule("laguerre", 12),
-            hermite=make_rule("hermite", 12),
-        )
+        derive("fap_power", fap_power_distribution(edge_min, cap))
+        sig, intf = links.macro_to_outdoor, links.fap_to_outdoor
+        a = intf.alpha
+        nodes, _ = self.hermite
+        # interferer over signal, both at unit power and 1 m
+        geo = (p.gamma_m * intf.mean_rx_mw(1.0, 1.0) / sig.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
+        derive("macro_b_tilde", math.pi * geo * np.exp(_ln_moment(
+            intf.composite.loc - sig.composite.loc
+            - math.sqrt(2.0) * sig.composite.scale * nodes,
+            intf.composite.scale**2, a)))
+
+    @classmethod
+    def from_params(cls, params: NetworkParams) -> "BoundContext":
+        """The context of scenario ``params``; the same as ``cls(params)``."""
+        return cls(params)
 
     # -- frequently used linear quantities ---------------------------------
+
+    @property
+    def p_f_serving_dbm(self) -> float:
+        """The tagged femtocell's per-subcarrier power: the cap."""
+        return self.params.p_f_max_subcarrier_dbm
 
     @property
     def p_m_mw(self) -> float:
@@ -141,56 +162,27 @@ class BoundContext:
     def p_serving_mw(self) -> float:
         return float(dbm_to_mw(self.p_f_serving_dbm))
 
-    # Computed once per context: cached_property stores into the instance
-    # __dict__, which a frozen dataclass allows.
-    @cached_property
-    def ratio_dist(self) -> LognormalDist:
-        """Serving over macro-indoor composite channel ratio."""
-        return _channel_ratio(self.links)
 
-    @cached_property
-    def macro_b_tilde(self) -> np.ndarray:
-        """Per-Hermite-node coefficient of the macro bound's void exponent,
-        before the intensity, interfering-power and distance factors."""
-        sig, intf = self.links.macro_to_outdoor, self.links.fap_to_outdoor
-        a = intf.alpha
-        nodes, _ = self.hermite
-        # interferer over signal, both at unit power and 1 m
-        geo = (self.params.gamma_m * intf.mean_rx_mw(1.0, 1.0)
-               / sig.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
-        return math.pi * geo * np.exp(_ln_moment(
-            intf.composite.loc - sig.composite.loc
-            - math.sqrt(2.0) * sig.composite.scale * nodes,
-            intf.composite.scale**2, a))
-
-
-def _channel_ratio(links: LinkSet) -> LognormalDist:
-    """Lognormal fit of the serving over the macro-indoor composite channel."""
-    sig, intf = links.serving_fap_to_indoor.composite, links.macro_to_indoor.composite
-    return LognormalDist(sig.loc - intf.loc, math.hypot(sig.scale, intf.scale))
-
-
-def _macro_only_budget(params: NetworkParams, links: LinkSet, d):
+def _macro_only_budget(ctx: BoundContext, d):
     """Macro-only link budget at range ``d``, mW: gamma_f times the mean
     macro interference at ``d`` over the mean serving signal per mW at the
     cell edge r_f.  Over the serving power it is the channel-ratio level
     below which macro interference alone causes a femto outage for the
     worst-case cell-edge UE; over the ratio's ``eps_f`` quantile it is the
     macro-only floor."""
-    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
-    return params.gamma_f * links.macro_to_indoor.mean_rx_mw(p_m_mw, d) \
-        / links.serving_fap_to_indoor.mean_rx_mw(1.0, params.r_f)
+    p, links = ctx.params, ctx.links
+    return p.gamma_f * links.macro_to_indoor.mean_rx_mw(ctx.p_m_mw, d) \
+        / links.serving_fap_to_indoor.mean_rx_mw(1.0, p.r_f)
 
 
-def _power_floor_macro_only_dbm(params: NetworkParams, links: LinkSet,
-                                ratio: LognormalDist, d):
+def _power_floor_macro_only_dbm(ctx: BoundContext, d):
     """Per-subcarrier serving power making the macro-only femto outage
     equal ``eps_f`` at range ``d`` (closed form); elementwise over an array
-    ``d``.  ``ratio`` is the context's ``ratio_dist``."""
-    eps = params.eps_f
+    ``d``."""
+    eps = ctx.params.eps_f
     if not (0 < eps < 1):
         raise ValueError("outage target must lie in (0, 1)")
-    out = mw_to_dbm(_macro_only_budget(params, links, d) / ratio.quantile(eps))
+    out = mw_to_dbm(_macro_only_budget(ctx, d) / ctx.ratio_dist.quantile(eps))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -200,17 +192,17 @@ def _ln_moment(loc, var, a):
     return 2.0 * loc / a + 2.0 * var / a**2
 
 
-def _dominant_interferer_rate(ctx: BoundContext, link, gamma: float) -> float:
+def _dominant_interferer_rate(link, power: LognormalDist, gamma: float) -> float:
     """Spatial coefficient of the expected dominant-interferer count seen
-    by a UE over interfering ``link`` with SIR target ``gamma``: multiply
-    by the FAP intensity and the power margin raised to -2/alpha to get a
-    mean count."""
+    by a UE over interfering ``link`` from access points of transmit-power
+    distribution ``power`` with SIR target ``gamma``: multiply by the FAP
+    intensity and the power margin raised to -2/alpha to get a mean
+    count."""
     a = link.alpha
     comp = link.composite
-    pw = ctx.fap_power
     geo = (gamma * link.mean_rx_mw(1.0, 1.0)) ** (2.0 / a)
     return math.pi * geo * math.exp(
-        _ln_moment(comp.loc + pw.loc, comp.scale**2 + pw.scale**2, a))
+        _ln_moment(comp.loc + power.loc, comp.scale**2 + power.scale**2, a))
 
 
 def _rx_ln_loc(link, p_mw, d):
@@ -239,7 +231,7 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw):
     mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None, None]
     sc_i = intf.composite.scale
     ln_gamma = math.log(p.gamma_f)
-    rate = _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
+    rate = _dominant_interferer_rate(ctx.links.interfering_fap_to_indoor, ctx.fap_power,
                                      p.gamma_f) * p.lambda_f
 
     a_n, w_n = (x[:, None] for x in ctx.laguerre)
@@ -263,7 +255,7 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw):
 def _femto_bound(ctx: BoundContext, d, p_serving_mw):
     """Macro-only term, composite term, and their sum clamped to 1, for
     the broadcast arrays of distances and serving powers (mW)."""
-    budget = _macro_only_budget(ctx.params, ctx.links, d)
+    budget = _macro_only_budget(ctx, d)
     p_macro = ctx.ratio_dist.cdf(budget / p_serving_mw)
     p_comp = _femto_composite_term(ctx, d, p_serving_mw)
     return p_macro, p_comp, np.minimum(p_macro + p_comp, 1.0)

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import _kernels
 from .analysis import BoundContext
-from .model import DB_TO_LN, LognormalDist, NetworkParams, dbm_to_mw, mw_to_dbm
+from .model import DB_TO_LN, NetworkParams, dbm_to_mw, mw_to_dbm
 from .regulation import Mode, RegulationTable, decide
 
 __all__ = [
@@ -105,24 +105,22 @@ def _pooled(outages: int, n: int) -> tuple[float, float]:
 
 
 def drop_faps(
-    params: NetworkParams,
+    ctx: BoundContext,
     region_radius: float,
     rng: np.random.Generator,
-    power_dist: LognormalDist | None = None,
     regulation: RegulationTable | None = None,
 ) -> FemtoDrop:
-    """Sample one FAP field: Poisson count at the scenario intensity,
-    positions uniform over the disc.
+    """Sample one FAP field of the context's scenario: Poisson count at
+    its intensity, positions uniform over the disc.
 
     With a ``regulation`` table the field covers only the annulus outside
     its minimum deployment distance, and the table sets each FAP's power
     and thins its RB usage by distance; without one, powers are i.i.d.
-    draws from ``power_dist`` and every FAP uses every RB.
+    draws from the context's ``fap_power`` and every FAP uses every RB.
     """
+    params = ctx.params
     if region_radius <= 0:
         raise ValueError("region radius must be positive")
-    if regulation is None and power_dist is None:
-        raise ValueError("provide power_dist or regulation to assign powers")
     min_radius = 0.0 if regulation is None else regulation.d_min_deploy
     if min_radius >= region_radius:
         raise ValueError("the minimum deployment distance must lie inside the region")
@@ -143,7 +141,7 @@ def drop_faps(
         for i in range(0, n, 64):
             masks[i:i + 64] = rng.random(out=block[:n - i]) < prob[i:i + 64, None]
     else:
-        tx_dbm = mw_to_dbm(power_dist.sample(rng, n))
+        tx_dbm = mw_to_dbm(ctx.fap_power.sample(rng, n))
         masks = np.ones((n, params.n_rb), dtype=bool)
     return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks)
 
@@ -386,8 +384,7 @@ def estimate_op(
     def drop_outages(i: int, ws: _Workspace) -> int:
         j, k = divmod(i, n_drops)
         rng = _drop_rng(seed, point_offset + j, k)
-        drop = drop_faps(params, region, rng, power_dist=ctx.fap_power,
-                         regulation=regulation)
+        drop = drop_faps(ctx, region, rng, regulation=regulation)
         return _simulate_drop_outages(
             params, links, drop, tier, float(distances[j]), n_trials, rng, ws,
             *serving[j])
@@ -428,7 +425,7 @@ def estimate_ase(
 
     def drop_terms(k: int, ws: _Workspace) -> tuple[float, int]:
         rng = _drop_rng(seed, 0, k)
-        drop = drop_faps(params, region, rng, regulation=regulation)
+        drop = drop_faps(ctx, region, rng, regulation=regulation)
         in_cell = np.flatnonzero(drop.distances_to_mbs() <= params.r_m)
         # femto side: tagged subsample, unbiased via the count ratio
         density_success = 0.0

@@ -20,6 +20,7 @@ import numpy as np
 from .analysis import (  # the public bounds stay importable from this module
     BoundContext,
     _femto_bound,
+    _ln_moment,
     _macro_bound,
     _power_floor_macro_only_dbm,
     femto_outage_lower_bound,  # noqa: F401
@@ -146,7 +147,7 @@ def power_floor_approx_dbm(ctx: BoundContext, d):
     outage source; elementwise over an array ``d``.  Non-increasing in
     ``d``; equals the cap at the minimum deployment distance and the edge
     minimum power at ``r_m``."""
-    return _power_floor_macro_only_dbm(ctx.params, ctx.links, ctx.ratio_dist, _distances(d))
+    return _power_floor_macro_only_dbm(ctx, _distances(d))
 
 
 def min_serving_power_dbm(ctx: BoundContext) -> float:
@@ -272,15 +273,12 @@ def rb_access_probability(ctx: BoundContext) -> float:
     floor_edge = min_serving_power_dbm(ctx)
     if ceiling_edge >= floor_edge:
         return 1.0
-    cap = p.p_f_max_subcarrier_dbm
-    a = p.alpha_mf
-    z = DB_TO_LN
-    rho = math.exp(
-        z * (ceiling_edge - cap) / a
-        + z**2 * (ceiling_edge**2 - cap**2) / (18.0 * a**2)
-        - z**2 * floor_edge * (ceiling_edge - cap) / (9.0 * a**2)
-    )
-    return min(rho, 1.0)
+
+    def ln_moment(max_dbm):   # of the interfering power, as in the macro bound
+        loc, scale = _fap_power_ln(floor_edge, max_dbm)
+        return _ln_moment(loc, scale**2, p.alpha_mf)
+
+    return min(math.exp(ln_moment(ceiling_edge) - ln_moment(p.p_f_max_subcarrier_dbm)), 1.0)
 
 
 def _window_dbm(ctx: BoundContext, d: np.ndarray):

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from femtoshare import BoundContext, NetworkParams, fap_power_distribution
-from femtoshare.analysis import _dominant_interferer_rate
+from femtoshare import BoundContext, NetworkParams
+from femtoshare.analysis import _dominant_interferer_rate, _macro_bound
+from femtoshare.model import _fap_power_ln
 
 
 @pytest.fixture(scope="session")
@@ -27,19 +28,23 @@ def ctx100(params100):
     return BoundContext.from_params(params100)
 
 
-def with_interferer_power(ctx, min_dbm, max_dbm):
-    """Copy of ``ctx`` whose interfering powers span [min_dbm, max_dbm]."""
-    return dataclasses.replace(ctx, fap_power=fap_power_distribution(min_dbm, max_dbm))
-
-
 def with_intensity(ctx, lambda_f):
     """Copy of ``ctx`` whose scenario has FAP intensity ``lambda_f``."""
     return dataclasses.replace(ctx, params=dataclasses.replace(ctx.params, lambda_f=lambda_f))
 
 
-def fue_rate(ctx):
-    """Dominant-interferer coefficient for an indoor femto UE."""
-    return _dominant_interferer_rate(ctx, ctx.links.interfering_fap_to_indoor,
+def macro_bound_at(ctx, d, min_dbm, max_dbm):
+    """Macro bound of ``ctx`` at range ``d`` with interfering powers
+    spanning [min_dbm, max_dbm]."""
+    return float(_macro_bound(ctx, np.asarray(d, dtype=float),
+                              *_fap_power_ln(min_dbm, max_dbm)))
+
+
+def fue_rate(ctx, power=None):
+    """Dominant-interferer coefficient for an indoor femto UE, with
+    interfering powers drawn from ``power`` (by default the context's)."""
+    return _dominant_interferer_rate(ctx.links.interfering_fap_to_indoor,
+                                     ctx.fap_power if power is None else power,
                                      ctx.params.gamma_f)
 
 

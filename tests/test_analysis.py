@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
+from femtoshare import analysis
 from femtoshare.analysis import (
     BoundContext,
     _dominant_interferer_rate,
+    _femto_bound,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
-    make_rule,
 )
-from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
+from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw, fap_power_distribution
 
-from conftest import fue_rate, with_intensity, with_interferer_power
+from conftest import fue_rate, macro_bound_at, with_intensity
 
 
 def _macro_only(ctx, d):
@@ -22,9 +23,12 @@ def _macro_only(ctx, d):
     return femto_outage_lower_bound(ctx, d).p_macro_only
 
 
-def _mue_rate(ctx):
-    """Dominant-interferer coefficient for an outdoor macro UE."""
-    return _dominant_interferer_rate(ctx, ctx.links.fap_to_outdoor, ctx.params.gamma_m)
+def _mue_rate(ctx, power=None):
+    """Dominant-interferer coefficient for an outdoor macro UE, with
+    interfering powers drawn from ``power`` (by default the context's)."""
+    return _dominant_interferer_rate(ctx.links.fap_to_outdoor,
+                                     ctx.fap_power if power is None else power,
+                                     ctx.params.gamma_m)
 
 
 def test_macro_only_edge_value_meets_constraint(ctx30):
@@ -41,8 +45,8 @@ def test_macro_only_monotone(ctx30):
     d = np.linspace(200.0, 1500.0, 40)
     vals = _macro_only(ctx30, d)
     assert np.all(np.diff(vals) < 0)
-    lower_power = dataclasses.replace(ctx30, p_f_serving_dbm=ctx30.p_f_serving_dbm - 3.0)
-    assert _macro_only(lower_power, 800.0) > _macro_only(ctx30, 800.0)
+    lower_power = dbm_to_mw(ctx30.p_f_serving_dbm - 3.0)
+    assert _femto_bound(ctx30, 800.0, lower_power)[0] > _macro_only(ctx30, 800.0)
 
 
 def test_macro_only_domain_error(ctx30):
@@ -63,6 +67,41 @@ def test_context_rejects_a_cap_below_the_edge_minimum_power():
     with pytest.raises(ValueError, match="power cap, -25.79 dBm, lies below the "
                                          "cell-edge minimum power, -24.41 dBm"):
         BoundContext.from_params(NetworkParams(p_f_max_total_dbm=5.0))
+
+
+class TestContextIsItsScenario:
+    def test_replaced_scenario_rebuilds_every_derived_value(self, ctx30, params30):
+        xi15 = dataclasses.replace(params30, xi_db=15.0)
+        replaced = dataclasses.replace(ctx30, params=xi15)
+        fresh = BoundContext.from_params(xi15)
+        assert replaced.links == fresh.links
+        assert replaced.fap_power == fresh.fap_power
+        assert replaced.links != ctx30.links
+        d = np.array([400.0, 700.0, 1000.0])
+        assert np.array_equal(femto_outage_lower_bound(replaced, d).p_total_lb,
+                              femto_outage_lower_bound(fresh, d).p_total_lb)
+        assert np.array_equal(macro_outage_lower_bound(replaced, d),
+                              macro_outage_lower_bound(fresh, d))
+
+    def test_replaced_scenario_meets_the_cap_check(self, ctx30):
+        with pytest.raises(ValueError, match="power cap, -25.79 dBm, lies below the "
+                                             "cell-edge minimum power, -24.41 dBm"):
+            dataclasses.replace(ctx30, params=dataclasses.replace(
+                ctx30.params, p_f_max_total_dbm=5.0))
+
+    @pytest.mark.parametrize("name", ["links", "fap_power", "p_f_serving_dbm", "laguerre",
+                                      "hermite", "ratio_dist", "macro_b_tilde"])
+    def test_derived_values_cannot_be_replaced(self, ctx30, name):
+        with pytest.raises((TypeError, ValueError)):
+            dataclasses.replace(ctx30, **{name: getattr(ctx30, name)})
+
+    def test_equal_scenarios_give_equal_contexts(self, ctx30, ctx100, params30):
+        twin = BoundContext.from_params(dataclasses.replace(params30))
+        assert twin is not ctx30
+        assert twin == ctx30
+        assert hash(twin) == hash(ctx30)
+        assert ctx100 != ctx30
+        assert len({ctx30, twin, ctx100}) == 2
 
 
 def test_macro_only_against_sampled_channels(ctx30):
@@ -112,10 +151,11 @@ class TestFemtoLowerBound:
         t100 = femto_outage_lower_bound(ctx100, 800.0).p_total_lb
         assert t100 >= t30
 
-    def test_quadrature_order_robustness(self, params30):
+    def test_quadrature_order_robustness(self, params30, monkeypatch):
         base = BoundContext.from_params(params30)
-        fine = dataclasses.replace(base, laguerre=make_rule("laguerre", 24),
-                                   hermite=make_rule("hermite", 24))
+        monkeypatch.setattr(analysis, "_QUADRATURE_ORDER", 24)
+        fine = BoundContext.from_params(params30)
+        assert len(fine.laguerre[0]) == len(fine.hermite[0]) == 24
         for d in (400.0, 550.0, 700.0, 850.0, 1000.0):
             a = femto_outage_lower_bound(base, d).p_total_lb
             b = femto_outage_lower_bound(fine, d).p_total_lb
@@ -141,12 +181,12 @@ class TestMacroLowerBound:
         assert np.all(np.diff(vals) > 0)
         denser = with_intensity(ctx30, 2 * params30.lambda_f)
         assert macro_outage_lower_bound(denser, 800.0) > macro_outage_lower_bound(ctx30, 800.0)
-        hot = with_interferer_power(ctx30, -20.0, -4.0)
-        cold = with_interferer_power(ctx30, -24.0, -8.0)
-        assert macro_outage_lower_bound(hot, 800.0) > macro_outage_lower_bound(cold, 800.0)
-        wide = with_interferer_power(ctx30, -30.0, -4.0)     # same mean, larger spread
-        narrow = with_interferer_power(ctx30, -22.0, -12.0)
-        assert macro_outage_lower_bound(wide, 800.0) > macro_outage_lower_bound(narrow, 800.0)
+        hot = macro_bound_at(ctx30, 800.0, -20.0, -4.0)
+        cold = macro_bound_at(ctx30, 800.0, -24.0, -8.0)
+        assert hot > cold
+        wide = macro_bound_at(ctx30, 800.0, -30.0, -4.0)     # same mean, larger spread
+        narrow = macro_bound_at(ctx30, 800.0, -22.0, -12.0)
+        assert wide > narrow
 
     def test_against_adaptive_integration(self, ctx30):
         # adaptive oracle on the signal-power integral behind the Hermite sum
@@ -178,17 +218,17 @@ class TestMacroLowerBound:
 class TestDominantInterfererRates:
     def test_gamma_homogeneity(self, params30):
         # fixed interferer power statistics isolate the target's exponent
-        ctx = with_interferer_power(BoundContext.from_params(params30), -24.0, -8.0)
-        doubled = with_interferer_power(BoundContext.from_params(dataclasses.replace(
-            params30, gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)),
-        ), -24.0, -8.0)
-        ratio = fue_rate(doubled) / fue_rate(ctx)
+        power = fap_power_distribution(-24.0, -8.0)
+        ctx = BoundContext.from_params(params30)
+        doubled = BoundContext.from_params(dataclasses.replace(
+            params30, gamma_f_db=params30.gamma_f_db + 10.0 * math.log10(2.0)))
+        ratio = fue_rate(doubled, power) / fue_rate(ctx, power)
         assert ratio == pytest.approx(2.0 ** (2.0 / params30.alpha_ff), rel=1e-9)
 
     def test_fixed_power_closed_form(self, params30):
         # degenerate interferer power: the moment factor reduces to a plain
         # power of the constant, leaving the hand-computed expression
-        ctx = with_interferer_power(BoundContext.from_params(params30), -10.0, -10.0)
+        ctx = BoundContext.from_params(params30)
         p = params30
         link = ctx.links.interfering_fap_to_indoor
         comp = link.composite
@@ -196,7 +236,8 @@ class TestDominantInterfererRates:
         power_mw = float(dbm_to_mw(-10.0))
         expected = math.pi * (link.gain * p.gamma_f / link.phi) ** (2 / a) \
             * power_mw ** (2 / a) * math.exp(2 * comp.loc / a + 2 * comp.scale**2 / a**2)
-        assert fue_rate(ctx) == pytest.approx(expected, rel=1e-12)
+        assert fue_rate(ctx, fap_power_distribution(-10.0, -10.0)) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_power_moment_against_sampling(self, ctx100):
         # E[(P*H*Q)^(2/alpha)] via the lognormal moment formula vs the
@@ -220,11 +261,11 @@ class TestDominantInterfererRates:
         assert analytic == pytest.approx(emp_true, rel=0.06)
 
     def test_both_rates_positive_and_increasing_in_power_mean(self, ctx30):
-        hotter = with_interferer_power(ctx30, -20.0, -4.0)
+        hotter = fap_power_distribution(-20.0, -4.0)
         assert fue_rate(ctx30) > 0
         assert _mue_rate(ctx30) > 0
-        assert fue_rate(hotter) > fue_rate(ctx30)
-        assert _mue_rate(hotter) > _mue_rate(ctx30)
+        assert fue_rate(ctx30, hotter) > fue_rate(ctx30)
+        assert _mue_rate(ctx30, hotter) > _mue_rate(ctx30)
 
 
 def test_printed_form_matches_coefficient_form(ctx30):

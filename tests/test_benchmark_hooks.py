@@ -1,0 +1,28 @@
+"""The names the benchmark harness hooks into stay where it looks for them.
+
+``perfbench/tracing.py`` wraps package entry points by attribute name and
+binds the outage kernel's arguments by parameter name; a refactor that
+moves either would break ``perfbench/run.py --trace 1``.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT)]
+
+from femtoshare import _kernels  # noqa: E402
+
+from perfbench import tracing  # noqa: E402
+
+
+def test_every_traced_entry_point_resolves():
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.targets()
+               if attr not in vars(owner)]
+    assert not missing
+
+
+def test_kernel_keeps_the_parameter_names_the_tracer_binds():
+    names = inspect.signature(_kernels.outage_count).parameters
+    assert {"hq", "sig", "masks", "rb", "skip"} <= set(names)

@@ -25,25 +25,19 @@ from femtoshare.regulation import RegulationTable
 from conftest import UnitDraws
 
 
-def _power_dist(params):
-    return BoundContext.from_params(params).fap_power
-
-
 class TestDropFaps:
     def test_zero_intensity_always_empty(self):
-        params = NetworkParams(lambda_f=0.0)
-        ctx = BoundContext.from_params(params)
+        ctx = BoundContext.from_params(NetworkParams(lambda_f=0.0))
         table = RegulationTable.build(ctx, d_max=1000.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert drop_faps(params, 1000.0, rng, power_dist=ctx.fap_power).n_faps == 0
-            assert drop_faps(params, 1000.0, rng, regulation=table).n_faps == 0
+            assert drop_faps(ctx, 1000.0, rng).n_faps == 0
+            assert drop_faps(ctx, 1000.0, rng, regulation=table).n_faps == 0
 
-    def test_poisson_count_statistics(self, params30):
+    def test_poisson_count_statistics(self, params30, ctx30):
         rng = np.random.default_rng(42)
-        dist = _power_dist(params30)
         counts = np.array([
-            drop_faps(params30, params30.r_m, rng, power_dist=dist).n_faps
+            drop_faps(ctx30, params30.r_m, rng).n_faps
             for _ in range(10_000)
         ])
         mean = counts.mean()
@@ -52,39 +46,33 @@ class TestDropFaps:
         # Poisson dispersion: variance tracks the mean
         assert counts.var() == pytest.approx(mean, rel=0.10)
 
-    def test_positions_inside_region(self, params30):
+    def test_positions_inside_region(self, ctx30):
         rng = np.random.default_rng(3)
-        drop = drop_faps(params30, 500.0, rng, power_dist=_power_dist(params30))
+        drop = drop_faps(ctx30, 500.0, rng)
         assert np.all(drop.distances_to_mbs() <= 500.0)
 
-    def test_annulus_exclusion(self, params100):
+    def test_annulus_exclusion(self, params100, ctx100):
         rng = np.random.default_rng(4)
-        ctx = BoundContext.from_params(params100)
-        table = RegulationTable.build(ctx, d_max=2000.0)
-        drop = drop_faps(params100, 2000.0, rng, regulation=table)
+        table = RegulationTable.build(ctx100, d_max=2000.0)
+        drop = drop_faps(ctx100, 2000.0, rng, regulation=table)
         assert np.all(drop.distances_to_mbs() >= table.d_min_deploy)
         assert np.all(drop.fap_powers_dbm <= params100.p_f_max_subcarrier_dbm + 1e-9)
 
-    def test_deterministic_given_seed(self, params30):
-        dist = _power_dist(params30)
-        a = drop_faps(params30, 1000.0, np.random.default_rng(9), power_dist=dist)
-        b = drop_faps(params30, 1000.0, np.random.default_rng(9), power_dist=dist)
+    def test_deterministic_given_seed(self, ctx30):
+        a = drop_faps(ctx30, 1000.0, np.random.default_rng(9))
+        b = drop_faps(ctx30, 1000.0, np.random.default_rng(9))
         np.testing.assert_array_equal(a.fap_positions, b.fap_positions)
         np.testing.assert_array_equal(a.fap_powers_dbm, b.fap_powers_dbm)
 
-    def test_requires_power_source(self, params30):
-        with pytest.raises(ValueError):
-            drop_faps(params30, 1000.0, np.random.default_rng(0))
-
-    def test_a_regulated_drop_draws_its_rb_usage_in_small_blocks(self, params100):
+    def test_a_regulated_drop_draws_its_rb_usage_in_small_blocks(self, params100, ctx100):
         # About 900 FAPs and 100 RBs: their uniforms as one float64 matrix
         # would take about 700 KB; the drop's own arrays take under 200 KB.
-        table = RegulationTable.build(BoundContext.from_params(params100))
+        table = RegulationTable.build(ctx100)
         region = montecarlo.DROP_REGION_FACTOR * params100.r_m
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            drop = drop_faps(params100, region, rng, regulation=table)
+            drop = drop_faps(ctx100, region, rng, regulation=table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

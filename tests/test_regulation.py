@@ -13,10 +13,11 @@ import femtoshare
 from femtoshare import regulation
 from femtoshare.analysis import (
     BoundContext,
+    _femto_bound,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
-from femtoshare.model import DB_TO_LN, NetworkParams
+from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
 from femtoshare.regulation import (
     InfeasibleError,
     Mode,
@@ -30,14 +31,19 @@ from femtoshare.regulation import (
     rb_access_probability,
 )
 
-from conftest import with_intensity, with_interferer_power
+from conftest import macro_bound_at, with_intensity
+
+
+def _femto_bound_at(ctx, d, p_dbm):
+    """Femto bound's (macro-only, composite, total) terms for a tagged
+    femtocell serving at ``p_dbm``."""
+    return [float(x) for x in _femto_bound(ctx, d, dbm_to_mw(p_dbm))]
 
 
 class TestMinServingPower:
     def test_round_trip_defining_equation(self, ctx30):
         p_min = min_serving_power_dbm(ctx30)
-        probe = dataclasses.replace(ctx30, p_f_serving_dbm=p_min)
-        op = femto_outage_lower_bound(probe, ctx30.params.r_m).p_macro_only
+        op = _femto_bound_at(ctx30, ctx30.params.r_m, p_min)[0]
         assert op == pytest.approx(ctx30.params.eps_f, abs=1e-9)
 
     def test_relaxed_constraint_lowers_power(self, params30):
@@ -94,8 +100,7 @@ class TestPowerFloors:
             approx = power_floor_approx_dbm(ctx30, float(d))
             assert exact >= approx - 1e-12
             assert abs(exact - approx) <= 0.5     # near-overlap of the two floors
-            probe = dataclasses.replace(ctx30, p_f_serving_dbm=exact)
-            op = femto_outage_lower_bound(probe, float(d)).p_total_lb
+            op = _femto_bound_at(ctx30, float(d), exact)[2]
             assert op == pytest.approx(ctx30.params.eps_f, abs=1e-6)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -245,8 +250,7 @@ class TestSolversAgainstBrent:
         p = ctx30.params
 
         def excess(p_dbm):
-            probe = dataclasses.replace(ctx30, p_f_serving_dbm=p_dbm)
-            return femto_outage_lower_bound(probe, d).p_total_lb - p.eps_f
+            return _femto_bound_at(ctx30, d, p_dbm)[2] - p.eps_f
 
         ref = brentq(excess, power_floor_approx_dbm(ctx30, d), p.p_f_max_subcarrier_dbm,
                      xtol=1e-12)
@@ -260,8 +264,7 @@ class TestSolversAgainstBrent:
         min_dbm = min_serving_power_dbm(ctx)
 
         def excess(max_dbm):
-            probe = with_interferer_power(ctx, *sorted((min_dbm, max_dbm)))
-            return macro_outage_lower_bound(probe, d) - p.eps_m
+            return macro_bound_at(ctx, d, *sorted((min_dbm, max_dbm))) - p.eps_m
 
         lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
         ref = brentq(excess, lo, p.p_f_max_subcarrier_dbm + 60.0, xtol=1e-12)
@@ -274,8 +277,7 @@ class TestPowerCeiling:
         for d in (500.0, 1000.0):
             ub = power_ceiling_dbm(ctx30, d)
             lo, hi = sorted((min_serving_power_dbm(ctx30), ub))
-            probe = with_interferer_power(ctx30, lo, hi)
-            op = macro_outage_lower_bound(probe, d)
+            op = macro_bound_at(ctx30, d, lo, hi)
             assert op == pytest.approx(p.eps_m, abs=1e-9)
 
     def test_non_increasing_in_distance_and_intensity(self, ctx30, params30):
@@ -330,8 +332,8 @@ class TestAccessProbability:
         p = ctx100.params
         rho = rb_access_probability(ctx100)
         cap = p.p_f_max_subcarrier_dbm
-        probe = with_interferer_power(ctx100, min_serving_power_dbm(ctx100), cap)
-        op = macro_outage_lower_bound(with_intensity(probe, rho * p.lambda_f), p.r_m)
+        op = macro_bound_at(with_intensity(ctx100, rho * p.lambda_f), p.r_m,
+                             min_serving_power_dbm(ctx100), cap)
         assert op == pytest.approx(p.eps_m, abs=1e-6)
 
     def test_matches_defining_property_formula(self, ctx100):
@@ -382,12 +384,10 @@ class TestDecide:
         assert dec.mode is Mode.WINDOW
         # the floor, the midpoint and the top of the window
         for tx in (dec.p_lb_dbm, 0.5 * (dec.p_lb_dbm + dec.p_ub_dbm), dec.p_ub_dbm):
-            femto = femto_outage_lower_bound(
-                dataclasses.replace(ctx30, p_f_serving_dbm=tx), d).p_total_lb
+            femto = _femto_bound_at(ctx30, d, tx)[2]
             assert femto <= p.eps_f + 1e-9
             lo, hi = sorted((min_serving_power_dbm(ctx30), tx))
-            macro = macro_outage_lower_bound(
-                with_interferer_power(ctx30, lo, hi), d)
+            macro = macro_bound_at(ctx30, d, lo, hi)
             assert macro <= p.eps_m + 1e-9
 
     def test_cap_clamp_just_above_min_distance(self, ctx30):
