@@ -28,7 +28,6 @@ from .montecarlo import (
 )
 from .regulation import (
     InfeasibleError,
-    Mode,
     RegulationDecision,
     RegulationTable,
     decide,

@@ -282,7 +282,7 @@ def _macro_bound(ctx: BoundContext, d, power_loc, power_scale):
     p = ctx.params
     a = p.alpha_mf
     power_factor = np.exp(_ln_moment(power_loc, power_scale**2, a))
-    dist_factor = (d ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
+    dist_factor = (np.asarray(d) ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
     ln_void = -np.minimum(ctx.macro_b_tilde * p.lambda_f * power_factor[..., None]
                           * dist_factor[..., None], _EXP_CAP)
     _, weights = ctx.hermite

@@ -47,7 +47,7 @@ import numpy as np
 from . import _kernels
 from .analysis import BoundContext
 from .model import DB_TO_LN, NetworkParams, dbm_to_mw, mw_to_dbm
-from .regulation import Mode, RegulationTable, decide
+from .regulation import RegulationTable, decide
 
 __all__ = [
     "FemtoDrop",
@@ -368,17 +368,16 @@ def estimate_op(
     regulation = None
     if mode == "regulated":
         regulation = RegulationTable.build(ctx, d_max=region)
-    serving = []
-    for d in distances:
-        if mode == "regulated" and tier == "femto":
-            dec = decide(ctx, float(d))
-            if dec.mode is Mode.EXCLUDED:
-                raise ValueError(
-                    f"femtocells cannot be deployed at d={d:.1f} m "
-                    f"(< {regulation.d_min_deploy:.1f} m)")
-            serving.append((dec.tx_power_dbm, dec.transmit_prob))
-        else:
-            serving.append((ctx.p_f_serving_dbm, 1.0))
+    if mode == "regulated" and tier == "femto":
+        dec = decide(ctx, distances)
+        excluded = dec.transmit_prob == 0.0
+        if excluded.any():
+            raise ValueError(
+                f"femtocells cannot be deployed at d={distances[excluded][0]:.1f} m "
+                f"(< {regulation.d_min_deploy:.1f} m)")
+        serving = list(zip(dec.tx_power_dbm.tolist(), dec.transmit_prob.tolist()))
+    else:
+        serving = [(ctx.p_f_serving_dbm, 1.0)] * len(distances)
 
     # one task per (point, drop) pair, so the pool stays busy across points
     def drop_outages(i: int, ws: _Workspace) -> int:

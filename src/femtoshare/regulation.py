@@ -11,7 +11,6 @@ outage constraint at the cell edge.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -30,7 +29,6 @@ from .model import DB_TO_LN, _fap_power_ln, dbm_to_mw
 
 __all__ = [
     "InfeasibleError",
-    "Mode",
     "RegulationDecision",
     "RegulationTable",
     "min_serving_power_dbm",
@@ -70,20 +68,17 @@ class InfeasibleError(ValueError):
     """No admissible power satisfies the requested outage constraint."""
 
 
-class Mode(enum.Enum):
-    WINDOW = "window"      # transmit every RB, power anywhere in [floor, ceiling]
-    THINNED = "thinned"    # transmit at the floor power with probability rho
-    EXCLUDED = "excluded"  # too close to the MBS to meet the femto constraint
-
-
 @dataclass(frozen=True)
 class RegulationDecision:
-    d: float
-    p_lb_dbm: float
-    p_ub_dbm: float
-    transmit_prob: float
-    mode: Mode
-    tx_power_dbm: float
+    """Decisions over an array of distances, each field of the shape of the
+    distances.  The window is open where ``p_lb_dbm <= p_ub_dbm`` and closed
+    (thinned) where not; an excluded distance reads ``transmit_prob == 0``
+    with NaN powers."""
+
+    p_lb_dbm: np.ndarray
+    p_ub_dbm: np.ndarray
+    transmit_prob: np.ndarray
+    tx_power_dbm: np.ndarray
 
 
 def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
@@ -295,26 +290,24 @@ def _window_dbm(ctx: BoundContext, d: np.ndarray):
     return lb, np.minimum(ceiling, cap)
 
 
-def _tx_power_dbm(lb, ub):
-    """Transmit power: the floor plus ``WINDOW_FLOOR_MARGIN_DB``, capped at
-    the window top, inside an open window (``lb <= ub``); the floor itself
-    where the window is closed."""
-    return np.where(lb <= ub, np.minimum(lb + WINDOW_FLOOR_MARGIN_DB, ub), lb)
-
-
-def decide(ctx: BoundContext, d: float) -> RegulationDecision:
-    """Self-regulation decision for a femtocell ``d`` meters from the MBS:
-    the exact power floor and the window top at ``d``, and RB thinning to
-    :func:`rb_access_probability` where the window is closed."""
-    d = _distances(d)
-    if d < min_deployment_distance(ctx):
-        return RegulationDecision(d, math.nan, math.nan, 0.0, Mode.EXCLUDED, math.nan)
-    lb, ub = _window_dbm(ctx, np.array([d]))
-    tx = float(_tx_power_dbm(lb, ub)[0])
-    lb, ub = float(lb[0]), float(ub[0])
-    if lb <= ub:
-        return RegulationDecision(d, lb, ub, 1.0, Mode.WINDOW, tx)
-    return RegulationDecision(d, lb, ub, rb_access_probability(ctx), Mode.THINNED, tx)
+def decide(ctx: BoundContext, d) -> RegulationDecision:
+    """Self-regulation decisions for femtocells ``d`` meters from the MBS,
+    elementwise over an array ``d``: the exact power floor and the window
+    top.  Inside an open window the transmit power is the floor plus
+    ``WINDOW_FLOOR_MARGIN_DB``, capped at the window top; where the window
+    is closed it is the floor itself, with RB thinning to
+    :func:`rb_access_probability`.  Nearer than
+    :func:`min_deployment_distance` a femtocell is excluded."""
+    d = np.asarray(_distances(d))
+    deployed = d >= min_deployment_distance(ctx)
+    lb, ub = np.full(d.shape, math.nan), np.full(d.shape, math.nan)
+    lb[deployed], ub[deployed] = _window_dbm(ctx, d[deployed])
+    thinned = lb > ub
+    prob = np.where(deployed, 1.0, 0.0)
+    if thinned.any():
+        prob[thinned] = rb_access_probability(ctx)
+    tx = np.where(lb <= ub, np.minimum(lb + WINDOW_FLOOR_MARGIN_DB, ub), lb)
+    return RegulationDecision(lb, ub, prob, tx)
 
 
 @dataclass(frozen=True)
@@ -349,10 +342,10 @@ class RegulationTable:
             d_max = ctx.params.r_m
         d_min = min_deployment_distance(ctx)
         grid = np.geomspace(d_min, max(d_max, d_min * 1.001), _TABLE_POINTS)
-        lb, ub = _window_dbm(ctx, grid)
-        tx = _tx_power_dbm(lb, ub)
-        rho = rb_access_probability(ctx)
+        dec = decide(ctx, grid)
+        lb, ub = dec.p_lb_dbm, dec.p_ub_dbm
         thinned = lb > ub
+        rho = float(dec.transmit_prob[thinned][0]) if thinned.any() else rb_access_probability(ctx)
         if not thinned.any():
             onset = math.inf
         elif thinned[0]:
@@ -365,4 +358,4 @@ class RegulationTable:
             onset = float(_bracketed_root(
                 lambda x, i: np.subtract(*_window_dbm(ctx, x)[::-1]),
                 *grid[cell], *(ub - lb)[cell], grid[k], _ONSET_XTOL_M)[1][0])
-        return cls(d_min, onset, rho, grid, tx)
+        return cls(d_min, onset, rho, grid, dec.tx_power_dbm)

@@ -36,8 +36,7 @@ def with_intensity(ctx, lambda_f):
 def macro_bound_at(ctx, d, min_dbm, max_dbm):
     """Macro bound of ``ctx`` at range ``d`` with interfering powers
     spanning [min_dbm, max_dbm]."""
-    return float(_macro_bound(ctx, np.asarray(d, dtype=float),
-                              *_fap_power_ln(min_dbm, max_dbm)))
+    return float(_macro_bound(ctx, d, *_fap_power_ln(min_dbm, max_dbm)))
 
 
 def fue_rate(ctx, power=None):

@@ -188,6 +188,12 @@ class TestMacroLowerBound:
         narrow = macro_bound_at(ctx30, 800.0, -22.0, -12.0)
         assert wide > narrow
 
+    def test_private_bound_takes_a_float_distance(self, ctx30):
+        # as _femto_bound does; the public bound passes an array
+        loc, scale = ctx30.fap_power.loc, ctx30.fap_power.scale
+        got = analysis._macro_bound(ctx30, 800.0, loc, scale)
+        assert got == macro_outage_lower_bound(ctx30, 800.0)
+
     def test_against_adaptive_integration(self, ctx30):
         # adaptive oracle on the signal-power integral behind the Hermite sum
         def oracle(ctx, d, lam):

@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` wraps package entry points by attribute name and
 binds the outage kernel's arguments by parameter name; a refactor that
-moves either would break ``perfbench/run.py --trace 1``.
+moves either would break ``perfbench/run.py --trace 1``, and one that
+routes a table build round a wrapped name would zero its counter.
 """
 
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT)]
 
-from femtoshare import _kernels  # noqa: E402
+from femtoshare import _kernels, regulation  # noqa: E402
 
 from perfbench import tracing  # noqa: E402
 
@@ -26,3 +27,18 @@ def test_every_traced_entry_point_resolves():
 def test_kernel_keeps_the_parameter_names_the_tracer_binds():
     names = inspect.signature(_kernels.outage_count).parameters
     assert {"hq", "sig", "masks", "rb", "skip"} <= set(names)
+
+
+def test_table_builds_call_the_wrapped_decide(ctx30, monkeypatch):
+    # the tracer counts ``regulation.decide`` calls by patching the module
+    # attribute; an ``ase`` pass decides only through its table builds
+    calls = []
+    decide = regulation.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(regulation, "decide", counting)
+    regulation.RegulationTable.build(ctx30)
+    assert len(calls) >= 1

@@ -385,9 +385,11 @@ class TestEstimateOp:
             estimate_op(params30, tier, [500.0, bad], n_drops=1, n_trials=10)
 
     def test_regulated_femto_rejects_excluded_distance(self, params30):
-        with pytest.raises(ValueError):
-            estimate_op(params30, "femto", [300.0], n_drops=2, n_trials=10,
-                        seed=0, mode="regulated")
+        # the message names the excluded distance, also behind a deployed one
+        for distances in ([300.0], [500.0, 300.0]):
+            with pytest.raises(ValueError, match=r"cannot be deployed at d=300\.0 m"):
+                estimate_op(params30, "femto", distances, n_drops=2, n_trials=10,
+                            seed=0, mode="regulated")
 
     def test_bound_ordering_spot_check(self, params30, ctx30):
         d = 800.0

@@ -20,7 +20,6 @@ from femtoshare.analysis import (
 from femtoshare.model import DB_TO_LN, NetworkParams, dbm_to_mw
 from femtoshare.regulation import (
     InfeasibleError,
-    Mode,
     RegulationTable,
     decide,
     min_deployment_distance,
@@ -358,32 +357,32 @@ class TestAccessProbability:
 class TestDecide:
     def test_too_close_is_excluded(self, ctx30):
         dec = decide(ctx30, 300.0)
-        assert dec.mode is Mode.EXCLUDED
         assert dec.transmit_prob == 0.0
+        assert np.isnan([dec.p_lb_dbm, dec.p_ub_dbm, dec.tx_power_dbm]).all()
 
     def test_sparse_field_opens_window(self, ctx30):
         dec = decide(ctx30, 600.0)
-        assert dec.mode is Mode.WINDOW
         assert dec.transmit_prob == 1.0
         assert dec.p_lb_dbm <= dec.p_ub_dbm
         # floor plus the fixed margin, inside the window
         from femtoshare.regulation import WINDOW_FLOOR_MARGIN_DB
-        assert dec.tx_power_dbm == pytest.approx(
-            min(dec.p_lb_dbm + WINDOW_FLOOR_MARGIN_DB, dec.p_ub_dbm), abs=1e-12)
+        assert float(dec.tx_power_dbm) == pytest.approx(
+            min(float(dec.p_lb_dbm) + WINDOW_FLOOR_MARGIN_DB, float(dec.p_ub_dbm)), abs=1e-12)
 
     def test_dense_field_thins(self, ctx100):
         dec = decide(ctx100, 600.0)
-        assert dec.mode is Mode.THINNED
-        assert dec.transmit_prob == pytest.approx(0.15, abs=0.03)
+        assert dec.p_lb_dbm > dec.p_ub_dbm
+        assert float(dec.transmit_prob) == pytest.approx(0.15, abs=0.03)
         assert dec.tx_power_dbm == dec.p_lb_dbm
 
     def test_window_powers_respect_both_bounds(self, ctx30):
         p = ctx30.params
         d = 700.0
         dec = decide(ctx30, d)
-        assert dec.mode is Mode.WINDOW
+        lb, ub = float(dec.p_lb_dbm), float(dec.p_ub_dbm)
+        assert lb <= ub
         # the floor, the midpoint and the top of the window
-        for tx in (dec.p_lb_dbm, 0.5 * (dec.p_lb_dbm + dec.p_ub_dbm), dec.p_ub_dbm):
+        for tx in (lb, 0.5 * (lb + ub), ub):
             femto = _femto_bound_at(ctx30, d, tx)[2]
             assert femto <= p.eps_f + 1e-9
             lo, hi = sorted((min_serving_power_dbm(ctx30), tx))
@@ -393,8 +392,31 @@ class TestDecide:
     def test_cap_clamp_just_above_min_distance(self, ctx30):
         d = min_deployment_distance(ctx30) * 1.0001
         dec = decide(ctx30, d)
-        assert dec.mode in (Mode.WINDOW, Mode.THINNED)
+        assert dec.transmit_prob > 0.0   # deployed
         assert dec.tx_power_dbm <= ctx30.params.p_f_max_subcarrier_dbm + 1e-12
+
+    def test_closed_window_can_keep_every_rb(self, ctx30):
+        # at N_F=30, xi=10 dB the window is closed at 1500 m, yet rho is 1:
+        # thinning is read from the window, not from transmit_prob < 1
+        dec = decide(ctx30, 1500.0)
+        assert dec.p_lb_dbm > dec.p_ub_dbm
+        assert dec.transmit_prob == 1.0
+        assert dec.tx_power_dbm == dec.p_lb_dbm
+
+    @pytest.mark.parametrize("nf, d", [
+        (30.0, [300.0, 450.0, 600.0, 900.0, 1500.0]),
+        (60.0, [300.0, 500.0, 656.0, 700.0, 1317.0, 3000.0]),
+        (100.0, [200.0, 400.0, 600.0, 1000.0])])
+    def test_array_is_the_per_distance_decisions(self, nf, d):
+        # the first distance is excluded in each scenario
+        ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(nf, xi_db=10.0))
+        dec = decide(ctx, np.array(d).reshape(-1, 1))
+        assert dec.transmit_prob[0, 0] == 0.0
+        for name in ("p_lb_dbm", "p_ub_dbm", "transmit_prob", "tx_power_dbm"):
+            got = getattr(dec, name)
+            assert got.shape == (len(d), 1)
+            one_by_one = [getattr(decide(ctx, di), name) for di in d]
+            np.testing.assert_array_equal(got[:, 0], one_by_one)
 
     def test_bad_arguments(self, ctx30):
         with pytest.raises(ValueError):
@@ -411,20 +433,20 @@ class TestRegulationTable:
     def test_matches_direct_decisions(self, ctx30, ctx100, ctx60):
         # at every grid node: window everywhere, thinned everywhere, and a
         # window that closes part-way out
-        for ctx, d_max, modes in ((ctx30, None, {Mode.WINDOW}),
-                                  (ctx100, None, {Mode.THINNED}),
-                                  (ctx60, 3000.0, {Mode.WINDOW, Mode.THINNED})):
+        for ctx, d_max, modes in ((ctx30, None, {False}),
+                                  (ctx100, None, {True}),
+                                  (ctx60, 3000.0, {False, True})):
             table = RegulationTable.build(ctx, d_max=d_max)
             tx, prob, deployed = table.query(table.grid)
             assert deployed.all()
             seen = set()
             for i, d in enumerate(table.grid):
                 dec = decide(ctx, float(d))
-                seen.add(dec.mode)
-                assert table.tx_power_dbm[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
-                assert tx[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
-                assert dec.mode is (Mode.THINNED if d >= table.d_thinned_onset
-                                    else Mode.WINDOW)
+                thinned = bool(dec.p_lb_dbm > dec.p_ub_dbm)
+                seen.add(thinned)
+                assert table.tx_power_dbm[i] == pytest.approx(float(dec.tx_power_dbm), abs=1e-6)
+                assert tx[i] == pytest.approx(float(dec.tx_power_dbm), abs=1e-6)
+                assert thinned == (d >= table.d_thinned_onset)
                 assert prob[i] == dec.transmit_prob
             assert seen == modes
 
@@ -439,8 +461,16 @@ class TestRegulationTable:
             ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(nf, xi_db=xi))
             onset = RegulationTable.build(ctx, d_max=3000.0).d_thinned_onset
             assert onset == pytest.approx(expected, abs=2e-6)
-            assert decide(ctx, onset).mode is Mode.THINNED
-            assert decide(ctx, onset * (1.0 - 1e-6)).mode is Mode.WINDOW
+            dec = decide(ctx, [onset, onset * (1.0 - 1e-6)])
+            assert dec.p_lb_dbm[0] > dec.p_ub_dbm[0]
+            assert dec.p_lb_dbm[1] <= dec.p_ub_dbm[1]
+
+    def test_table_is_decide_on_its_grid(self, ctx30, ctx100, ctx60):
+        for ctx, d_max in ((ctx30, None), (ctx100, None), (ctx60, 3000.0)):
+            table = RegulationTable.build(ctx, d_max=d_max)
+            np.testing.assert_array_equal(table.tx_power_dbm,
+                                          decide(ctx, table.grid).tx_power_dbm)
+            assert table.rho == rb_access_probability(ctx)
 
     def test_excluded_region(self, ctx100):
         table = RegulationTable.build(ctx100)
@@ -469,8 +499,8 @@ class TestRegulationTable:
         assert deployed.all() and (prob == 1.0).all()
         for i, di in enumerate(d):
             dec = decide(ctx, float(di))
-            assert dec.mode is Mode.WINDOW
-            assert tx[i] == pytest.approx(dec.tx_power_dbm, abs=1e-6)
+            assert dec.p_lb_dbm <= dec.p_ub_dbm
+            assert tx[i] == pytest.approx(float(dec.tx_power_dbm), abs=1e-6)
 
 
 _SCIPY_FREE = """
