@@ -163,6 +163,15 @@ class BoundContext:
         return float(dbm_to_mw(self.p_f_serving_dbm))
 
 
+def _distances(d):
+    """``d`` as a float, or a float array for an array ``d``; raises
+    ValueError unless every distance is finite and positive."""
+    arr = np.asarray(d, dtype=float)
+    if not ((arr > 0) & (arr < math.inf)).all():   # NaN fails both
+        raise ValueError("distance must be finite and positive")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 def _macro_only_budget(ctx: BoundContext, d):
     """Macro-only link budget at range ``d``, mW: gamma_f times the mean
     macro interference at ``d`` over the mean serving signal per mW at the
@@ -267,9 +276,7 @@ def femto_outage_lower_bound(ctx: BoundContext, d):
     Returns a :class:`FemtoOutageBreakdown`; with an array ``d`` the fields
     hold arrays.
     """
-    d_arr = np.atleast_1d(np.asarray(d, dtype=float))
-    if not np.all(d_arr > 0):   # NaN included
-        raise ValueError("distance must be positive")
+    d_arr = np.atleast_1d(_distances(d))
     p_macro, p_comp, p_total = _femto_bound(ctx, d_arr, ctx.p_serving_mw)
     if np.ndim(d) == 0:
         return FemtoOutageBreakdown(float(p_macro[0]), float(p_comp[0]), float(p_total[0]))
@@ -296,8 +303,5 @@ def macro_outage_lower_bound(ctx: BoundContext, d):
     resource block.  Non-decreasing in ``d``, the intensity, and the
     interferer power statistics.
     """
-    d = np.asarray(d, dtype=float)
-    if not np.all(d > 0):   # NaN included
-        raise ValueError("distance must be positive")
-    out = _macro_bound(ctx, d, ctx.fap_power.loc, ctx.fap_power.scale)
-    return float(out) if out.ndim == 0 else out
+    out = _macro_bound(ctx, _distances(d), ctx.fap_power.loc, ctx.fap_power.scale)
+    return float(out) if np.ndim(out) == 0 else out

@@ -10,14 +10,18 @@ through the composite lognormal fit used by the analytic bounds.
 Victim placement: the outage probability at range ``d`` is isotropic, so
 each trial the victim sits at a fresh uniform azimuth on the radius-``d``
 circle; this is an unbiased estimator of the same quantity with far less
-drop-geometry variance than a fixed victim.
+drop-geometry variance than a fixed victim.  :func:`_ring` makes every
+uniform-azimuth placement: the victims, and the access points of a drop.
 
-Every estimate builds a batch of victims per drop (positions, faded
-signal, fixed interference, the RBs they may use) and hands it to
-:func:`_victim_outages`, the one path from a drop plus victims to an
-outage count, and the only caller of the numpy outage kernel in
-:mod:`femtoshare._kernels`.  A drop without access points takes the same
-path: the kernel's sum over no access points is zero.
+Every estimate builds a batch of victims per drop with one of two
+builders: :func:`_femto_ue_outages` for indoor UEs served by a femtocell,
+:func:`_macro_ue_outages` for outdoor UEs served by the MBS.  Each draws
+its victims' faded signal and fixed interference and hands them, with its
+own interfering link and SIR target, to :func:`_victim_outages`, the one
+path from a drop plus victims to an outage count, and the only caller of
+the numpy outage kernel in :mod:`femtoshare._kernels`.  A drop without
+access points takes the same path: the kernel's sum over no access points
+is zero.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
@@ -45,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .analysis import BoundContext
-from .model import DB_TO_LN, NetworkParams, dbm_to_mw, mw_to_dbm
+from .analysis import BoundContext, _distances
+from .model import DB_TO_LN, NetworkParams, dbm_to_mw
 from .regulation import RegulationTable, decide
 
 __all__ = [
@@ -76,7 +80,7 @@ class FemtoDrop:
     """
 
     fap_positions: np.ndarray    # (n, 2) meters, MBS at the origin
-    fap_powers_dbm: np.ndarray   # (n,) per-subcarrier transmit power
+    fap_powers_mw: np.ndarray    # (n,) per-subcarrier transmit power
     fap_rb_masks: np.ndarray     # (n, n_rb) bool
 
     @property
@@ -104,14 +108,21 @@ def _pooled(outages: int, n: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / n)
 
 
+def _ring(rng: np.random.Generator, cx, cy, radius, n: int):
+    """x and y of ``n`` points at uniform azimuths on the circle of
+    ``radius`` (a scalar, or one per point) about ``(cx, cy)``."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    return cx + radius * np.cos(theta), cy + radius * np.sin(theta)
+
+
 def drop_faps(
     ctx: BoundContext,
-    region_radius: float,
     rng: np.random.Generator,
     regulation: RegulationTable | None = None,
 ) -> FemtoDrop:
     """Sample one FAP field of the context's scenario: Poisson count at
-    its intensity, positions uniform over the disc.
+    its intensity, positions uniform over the disc of radius
+    ``DROP_REGION_FACTOR`` times the cell radius.
 
     With a ``regulation`` table the field covers only the annulus outside
     its minimum deployment distance, and the table sets each FAP's power
@@ -119,18 +130,15 @@ def drop_faps(
     draws from the context's ``fap_power`` and every FAP uses every RB.
     """
     params = ctx.params
-    if region_radius <= 0:
-        raise ValueError("region radius must be positive")
+    region = DROP_REGION_FACTOR * params.r_m
     min_radius = 0.0 if regulation is None else regulation.d_min_deploy
-    if min_radius >= region_radius:
+    if min_radius >= region:
         raise ValueError("the minimum deployment distance must lie inside the region")
-    area = math.pi * (region_radius**2 - min_radius**2)
+    area = math.pi * (region**2 - min_radius**2)
     n = int(rng.poisson(params.lambda_f * area))
     # uniform over the annulus via inverse-CDF radius sampling
-    u = rng.random(n)
-    radius = np.sqrt(min_radius**2 + u * (region_radius**2 - min_radius**2))
-    theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    pos = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
+    radius = np.sqrt(min_radius**2 + rng.random(n) * (region**2 - min_radius**2))
+    pos = np.column_stack(_ring(rng, 0.0, 0.0, radius, n))
     if regulation is not None:
         tx_dbm, prob, deployed = regulation.query(radius)
         pos, tx_dbm, prob = pos[deployed], tx_dbm[deployed], prob[deployed]
@@ -140,10 +148,11 @@ def drop_faps(
         block = np.empty((min(n, 64), params.n_rb))
         for i in range(0, n, 64):
             masks[i:i + 64] = rng.random(out=block[:n - i]) < prob[i:i + 64, None]
+        powers = dbm_to_mw(tx_dbm)
     else:
-        tx_dbm = mw_to_dbm(ctx.fap_power.sample(rng, n))
+        powers = ctx.fap_power.sample(rng, n)
         masks = np.ones((n, params.n_rb), dtype=bool)
-    return FemtoDrop(pos, np.asarray(tx_dbm, dtype=float), masks)
+    return FemtoDrop(pos, powers, masks)
 
 
 # -- one drop against a batch of victims ----------------------------------
@@ -161,36 +170,68 @@ def _hq(rng: np.random.Generator, link, out, shadow):
     return out
 
 
-def _received(rng: np.random.Generator, link, p_dbm: float, d, n: int):
+def _received(rng: np.random.Generator, link, p_mw, d, n: int):
     """Faded power (mW) that ``n`` UEs receive over ``link`` from a
-    transmitter of power ``p_dbm`` at range ``d``."""
+    transmitter of power ``p_mw`` at range ``d``."""
     hq = _hq(rng, link, np.empty(n), np.empty(n))
-    return link.mean_rx_mw(float(dbm_to_mw(p_dbm)), d) * hq
+    return link.mean_rx_mw(p_mw, d) * hq
 
 
-def _victim_outages(params: NetworkParams, links, drop: FemtoDrop, indoor: bool,
-                    ux, uy, sig, fixed, rbs, rng: np.random.Generator,
-                    ws: _Workspace, skip: int = -1) -> int:
+def _victim_outages(link, gamma: float, drop: FemtoDrop, ux, uy, sig, fixed, rbs,
+                    rng: np.random.Generator, ws: _Workspace, skip: int = -1) -> int:
     """Outage count of a batch of victims against one drop.
 
     Victim ``t`` sits at ``(ux[t], uy[t])`` with faded signal ``sig[t]`` and
-    fixed (non-FAP) interference ``fixed[t]``, both in mW; it is an indoor
-    femto UE or an outdoor macro UE.  Each victim draws its RB from ``rbs``,
-    then every FAP's fading towards it; FAP ``skip`` (the victim's own
-    serving FAP) is left out of the sum.  A victim with no interference at
-    all is not in outage.  The (victim, FAP) arrays live in ``ws``.
+    fixed (non-FAP) interference ``fixed[t]``, both in mW, and is in outage
+    below SIR ``gamma``; the FAPs reach it over ``link``.  Each victim draws
+    its RB from ``rbs``, then every FAP's fading towards it; FAP ``skip``
+    (the victim's own serving FAP) is left out of the sum.  A victim with no
+    interference at all is not in outage.  The (victim, FAP) arrays live in
+    ``ws``.
     """
     n = sig.shape[0]
     rb = rng.choice(rbs, size=n)
-    gamma = params.gamma_f if indoor else params.gamma_m
-    link = links.interfering_fap_to_indoor if indoor else links.fap_to_outdoor
     hq_i, gain = ws.arrays(n, drop.n_faps)
     _hq(rng, link, hq_i, gain)
     # per-FAP mean power at 1 m; the kernel applies fading and distance
-    p_coef = link.mean_rx_mw(np.asarray(dbm_to_mw(drop.fap_powers_dbm)), 1.0)
+    p_coef = link.mean_rx_mw(drop.fap_powers_mw, 1.0)
     return int(_kernels.outage_count(
         sig, fixed, hq_i, p_coef, *drop.fap_positions.T, ux, uy, link.alpha / 2.0,
         drop.fap_rb_masks, rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
+
+
+def _femto_ue_outages(params: NetworkParams, links, drop: FemtoDrop, ux, uy,
+                      d_mbs: float, p_mw: float, rbs, rng: np.random.Generator,
+                      ws: _Workspace, rb_prob: float = 1.0, skip: int = -1) -> int:
+    """Outage count of indoor UEs at ``(ux, uy)`` against one drop, each at
+    the edge of a femtocell ``d_mbs`` from the MBS that serves it at power
+    ``p_mw``.  The victims' RBs come from ``rbs``; with ``rb_prob`` below 1
+    the femtocell transmits in each of them with that probability, and the
+    victims' RBs come from the ones it draws.  FAP ``skip`` is left out of
+    the interference."""
+    n = ux.shape[0]
+    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
+    sig = _received(rng, links.serving_fap_to_indoor, p_mw, params.r_f, n)
+    fixed = _received(rng, links.macro_to_indoor, p_m_mw, d_mbs, n)
+    if rb_prob < 1.0:
+        mask = rng.random(rbs.size) < rb_prob
+        while not mask.any():
+            mask = rng.random(rbs.size) < rb_prob
+        rbs = rbs[mask]
+    return _victim_outages(links.interfering_fap_to_indoor, params.gamma_f, drop,
+                           ux, uy, sig, fixed, rbs, rng, ws, skip)
+
+
+def _macro_ue_outages(params: NetworkParams, links, drop: FemtoDrop, r, n: int,
+                      rng: np.random.Generator, ws: _Workspace) -> int:
+    """Outage count of ``n`` outdoor UEs against one drop, each at a
+    uniform azimuth at range ``r`` (a scalar, or one per UE) from the MBS
+    that serves it, in any RB."""
+    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
+    ux, uy = _ring(rng, 0.0, 0.0, r, n)
+    sig = _received(rng, links.macro_to_outdoor, p_m_mw, r, n)
+    return _victim_outages(links.fap_to_outdoor, params.gamma_m, drop, ux, uy, sig,
+                           np.zeros(n), np.arange(params.n_rb), rng, ws)
 
 
 # -- batched estimation ------------------------------------------------------
@@ -297,42 +338,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _simulate_drop_outages(
-    params: NetworkParams,
-    links,
-    drop: FemtoDrop,
-    tier: str,
-    d: float,
-    n_trials: int,
-    rng: np.random.Generator,
-    ws: _Workspace,
-    serving_power_dbm: float | None,
-    serving_prob: float = 1.0,
-) -> int:
-    """Outage count over ``n_trials`` victims at range ``d`` from the MBS,
-    each at a fresh uniform azimuth, against one drop."""
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    ux = d * np.cos(theta)
-    uy = d * np.sin(theta)
-    rbs = np.arange(params.n_rb)
-    if tier == "macro":
-        sig = _received(rng, links.macro_to_outdoor, params.p_m_subcarrier_dbm,
-                        d, n_trials)
-        return _victim_outages(params, links, drop, False, ux, uy, sig,
-                               np.zeros(n_trials), rbs, rng, ws)
-    sig = _received(rng, links.serving_fap_to_indoor, serving_power_dbm,
-                    params.r_f, n_trials)
-    fixed = _received(rng, links.macro_to_indoor, params.p_m_subcarrier_dbm,
-                      d, n_trials)
-    if serving_prob < 1.0:
-        # the victim's RB follows its serving femtocell's active set
-        mask = rng.random(params.n_rb) < serving_prob
-        while not mask.any():
-            mask = rng.random(params.n_rb) < serving_prob
-        rbs = np.flatnonzero(mask)
-    return _victim_outages(params, links, drop, True, ux, uy, sig, fixed, rbs, rng, ws)
-
-
 def estimate_op(
     params: NetworkParams,
     tier: str,
@@ -359,9 +364,7 @@ def estimate_op(
         raise ValueError("mode must be 'validation' or 'regulated'")
     if n_drops < 1 or n_trials < 1:
         raise ValueError("n_drops and n_trials must be >= 1")
-    distances = np.atleast_1d(np.asarray(distances, dtype=float))
-    if not np.all(np.isfinite(distances) & (distances > 0)):
-        raise ValueError("distances must be finite and positive")
+    distances = np.atleast_1d(_distances(distances))
     ctx = BoundContext.from_params(params)
     region = DROP_REGION_FACTOR * params.r_m
     links = ctx.links
@@ -375,18 +378,23 @@ def estimate_op(
             raise ValueError(
                 f"femtocells cannot be deployed at d={distances[excluded][0]:.1f} m "
                 f"(< {regulation.d_min_deploy:.1f} m)")
-        serving = list(zip(dec.tx_power_dbm.tolist(), dec.transmit_prob.tolist()))
+        serving = list(zip(dbm_to_mw(dec.tx_power_dbm).tolist(),
+                           dec.transmit_prob.tolist()))
     else:
-        serving = [(ctx.p_f_serving_dbm, 1.0)] * len(distances)
+        serving = [(ctx.p_serving_mw, 1.0)] * len(distances)
+    rbs = np.arange(params.n_rb)
 
     # one task per (point, drop) pair, so the pool stays busy across points
     def drop_outages(i: int, ws: _Workspace) -> int:
         j, k = divmod(i, n_drops)
         rng = _drop_rng(seed, point_offset + j, k)
-        drop = drop_faps(ctx, region, rng, regulation=regulation)
-        return _simulate_drop_outages(
-            params, links, drop, tier, float(distances[j]), n_trials, rng, ws,
-            *serving[j])
+        drop = drop_faps(ctx, rng, regulation=regulation)
+        d = float(distances[j])
+        if tier == "macro":
+            return _macro_ue_outages(params, links, drop, d, n_trials, rng, ws)
+        p_mw, prob = serving[j]
+        return _femto_ue_outages(params, links, drop, *_ring(rng, 0.0, 0.0, d, n_trials),
+                                 d, p_mw, rbs, rng, ws, rb_prob=prob)
 
     counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
                         params.lambda_f * math.pi * region**2)
@@ -424,9 +432,10 @@ def estimate_ase(
 
     def drop_terms(k: int, ws: _Workspace) -> tuple[float, int]:
         rng = _drop_rng(seed, 0, k)
-        drop = drop_faps(ctx, region, rng, regulation=regulation)
+        drop = drop_faps(ctx, rng, regulation=regulation)
         in_cell = np.flatnonzero(drop.distances_to_mbs() <= params.r_m)
-        # femto side: tagged subsample, unbiased via the count ratio
+        # femto side: the edge UEs of a tagged subsample, each conditional
+        # on its FAP transmitting; unbiased via the count ratio
         density_success = 0.0
         if in_cell.size:
             n_tag = min(TAGGED_FAPS_PER_DROP, in_cell.size)
@@ -436,13 +445,18 @@ def estimate_ase(
                 if active_rbs.size == 0:
                     continue
                 activity = active_rbs.size / params.n_rb
-                succ = _tagged_fue_success(
-                    params, links, drop, int(j), active_rbs, n_trials, rng, ws)
-                density_success += activity * (succ / n_trials)
+                x, y = drop.fap_positions[j]
+                # UEs of one femtocell share their access point's macro path loss
+                d_j = max(float(np.hypot(x, y)), 1.0)
+                outages = _femto_ue_outages(
+                    params, links, drop, *_ring(rng, x, y, params.r_f, n_trials), d_j,
+                    drop.fap_powers_mw[j], active_rbs, rng, ws, skip=int(j))
+                density_success += activity * ((n_trials - outages) / n_trials)
             density_success *= in_cell.size / n_tag
-        # macro side: uniform victims in the cell
-        return density_success, _uniform_mue_success(params, links, drop, n_trials,
-                                                     rng, ws)
+        # macro side: victims placed uniformly in the cell
+        radius = np.maximum(params.r_m * np.sqrt(rng.random(n_trials)), 1.0)
+        return density_success, n_trials - _macro_ue_outages(
+            params, links, drop, radius, n_trials, rng, ws)
 
     # accumulate in drop order, so the sums do not depend on the thread count
     ase_f_acc = 0.0
@@ -459,31 +473,3 @@ def estimate_ase(
     return SimResult(p, se, n_drops * n_trials, ase_f=ase_f, ase_m=ase_m,
                      ase_total=ase_f + ase_m)
 
-
-def _tagged_fue_success(params, links, drop, j, active_rbs, n_trials, rng, ws) -> int:
-    """Success count for the edge UE of tagged FAP ``j``, conditional on
-    the FAP transmitting (RBs drawn from its active set)."""
-    x, y = drop.fap_positions[j]
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    ux = x + params.r_f * np.cos(theta)
-    uy = y + params.r_f * np.sin(theta)
-    sig = _received(rng, links.serving_fap_to_indoor, float(drop.fap_powers_dbm[j]),
-                    params.r_f, n_trials)
-    # UEs of one femtocell share their access point's macro path loss
-    d_j = max(float(np.hypot(x, y)), 1.0)
-    fixed = _received(rng, links.macro_to_indoor, params.p_m_subcarrier_dbm,
-                      d_j, n_trials)
-    return n_trials - _victim_outages(params, links, drop, True, ux, uy, sig, fixed,
-                                      active_rbs, rng, ws, skip=j)
-
-
-def _uniform_mue_success(params, links, drop, n_trials, rng, ws) -> int:
-    """Success count for macro UEs placed uniformly in the cell."""
-    radius = params.r_m * np.sqrt(rng.random(n_trials))
-    radius = np.maximum(radius, 1.0)
-    theta = rng.uniform(0.0, 2.0 * math.pi, n_trials)
-    sig = _received(rng, links.macro_to_outdoor, params.p_m_subcarrier_dbm,
-                    radius, n_trials)
-    return n_trials - _victim_outages(
-        params, links, drop, False, radius * np.cos(theta), radius * np.sin(theta),
-        sig, np.zeros(n_trials), np.arange(params.n_rb), rng, ws)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (  # the public bounds stay importable from this module
     BoundContext,
+    _distances,
     _femto_bound,
     _ln_moment,
     _macro_bound,
@@ -126,15 +127,6 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
                          f1 / (f1 - f2) * f3 / (f3 - f2)
                          - (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
     raise RuntimeError(f"root solve did not converge in {_MAXITER} steps")
-
-
-def _distances(d):
-    """``d`` as a float, or a float array for an array ``d``; raises
-    ValueError unless every distance is finite and positive."""
-    arr = np.asarray(d, dtype=float)
-    if not ((arr > 0) & (arr < math.inf)).all():   # NaN fails both
-        raise ValueError("distance must be finite and positive")
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def power_floor_approx_dbm(ctx: BoundContext, d):

@@ -50,7 +50,16 @@ def fue_rate(ctx, power=None):
 class UnitDraws:
     """Stands in for a numpy Generator: azimuth 0 (the victim sits on the
     +x axis), unit fading, shadowing at the link's mean (unit at the
-    scenario's 0 dB), and the first RB on offer."""
+    scenario's 0 dB), and the first RB on offer.  ``random`` calls return
+    the arrays of ``random``, in order; ``offered`` records the RBs that
+    each RB choice drew from."""
+
+    def __init__(self, random=()):
+        self._uniforms = [np.asarray(u, dtype=float) for u in random]
+        self.offered = []
+
+    def random(self, size=None):
+        return self._uniforms.pop(0)
 
     def uniform(self, low, high, size=None):
         return np.full(size, float(low))
@@ -64,6 +73,7 @@ class UnitDraws:
         return out
 
     def choice(self, a, size=None):
+        self.offered.append(np.array(a))
         return np.full(size, a[0])
 
 

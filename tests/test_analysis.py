@@ -54,10 +54,11 @@ def test_macro_only_domain_error(ctx30):
         _macro_only(ctx30, 0.0)
 
 
-@pytest.mark.parametrize("d", [math.nan, [500.0, math.nan]], ids=["scalar", "array"])
+@pytest.mark.parametrize("d", [math.nan, [500.0, math.nan], math.inf, [400.0, math.inf]],
+                         ids=["scalar", "array", "inf", "array-inf"])
 @pytest.mark.parametrize("bound", [femto_outage_lower_bound, macro_outage_lower_bound])
 def test_bounds_reject_a_nan_distance(ctx30, bound, d):
-    with pytest.raises(ValueError, match="distance must be positive"):
+    with pytest.raises(ValueError, match="distance must be finite and positive"):
         bound(ctx30, d)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT)]
 
-from femtoshare import _kernels, regulation  # noqa: E402
+from femtoshare import _kernels, montecarlo, regulation  # noqa: E402
 
 from perfbench import tracing  # noqa: E402
 
@@ -42,3 +42,22 @@ def test_table_builds_call_the_wrapped_decide(ctx30, monkeypatch):
     monkeypatch.setattr(regulation, "decide", counting)
     regulation.RegulationTable.build(ctx30)
     assert len(calls) >= 1
+
+
+def test_the_tracer_runs_over_the_simulator(params30):
+    # ``--trace 1`` reads each drop's FAP count and binds the kernel's
+    # ``masks``, ``rb`` and ``skip`` on live calls; both estimates run
+    # the tracer's wrappers here, two drops each
+    estimates = [
+        lambda: montecarlo.estimate_op(params30, "femto", [700.0], n_drops=2,
+                                       n_trials=10, seed=1),
+        lambda: montecarlo.estimate_ase(params30, n_drops=2, n_trials=10, seed=1),
+    ]
+    for estimate in estimates:
+        with tracing.Tracer() as tracer:
+            estimate()
+        metrics = tracer.metrics()
+        assert metrics["montecarlo.drop_faps.calls"] == 2
+        assert metrics["montecarlo.faps_per_drop"] > 0
+        assert metrics["kernels.pairs"] > 0
+        assert 0 < metrics["kernels.active_ratio"] <= 1

@@ -63,7 +63,7 @@ class TestPropagation:
         for link in (links.macro_to_outdoor, links.serving_fap_to_indoor,
                      links.fap_to_outdoor, links.macro_to_indoor,
                      links.interfering_fap_to_indoor):
-            got = _received(UnitDraws(), link, 0.0, 1.0, 1)
+            got = _received(UnitDraws(), link, 1.0, 1.0, 1)
             assert got[0] == pytest.approx(link.gain / link.phi, rel=1e-15)
 
     def test_links_carry_transmit_times_ue_gain(self):

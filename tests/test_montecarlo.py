@@ -18,7 +18,7 @@ import pytest
 
 from femtoshare import _kernels, montecarlo
 from femtoshare.analysis import BoundContext, femto_outage_lower_bound
-from femtoshare.model import DB_TO_LN, NetworkParams, build_links, dbm_to_mw
+from femtoshare.model import DB_TO_LN, NetworkParams, build_links, dbm_to_mw, mw_to_dbm
 from femtoshare.montecarlo import FemtoDrop, drop_faps, estimate_ase, estimate_op
 from femtoshare.regulation import RegulationTable
 
@@ -31,48 +31,61 @@ class TestDropFaps:
         table = RegulationTable.build(ctx, d_max=1000.0)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert drop_faps(ctx, 1000.0, rng).n_faps == 0
-            assert drop_faps(ctx, 1000.0, rng, regulation=table).n_faps == 0
+            assert drop_faps(ctx, rng).n_faps == 0
+            assert drop_faps(ctx, rng, regulation=table).n_faps == 0
 
     def test_poisson_count_statistics(self, params30, ctx30):
         rng = np.random.default_rng(42)
-        counts = np.array([
-            drop_faps(ctx30, params30.r_m, rng).n_faps
-            for _ in range(10_000)
-        ])
+        counts = np.array([drop_faps(ctx30, rng).n_faps for _ in range(10_000)])
+        region = montecarlo.DROP_REGION_FACTOR * params30.r_m
+        expected = params30.lambda_f * math.pi * region**2   # 270
         mean = counts.mean()
-        # mean within 3 standard errors of 30
-        assert abs(mean - 30.0) <= 3.0 * math.sqrt(30.0) / 100.0
+        # mean within 3 standard errors of the expected count
+        assert abs(mean - expected) <= 3.0 * math.sqrt(expected) / 100.0
         # Poisson dispersion: variance tracks the mean
         assert counts.var() == pytest.approx(mean, rel=0.10)
 
-    def test_positions_inside_region(self, ctx30):
+    def test_positions_inside_region(self, params30, ctx30):
         rng = np.random.default_rng(3)
-        drop = drop_faps(ctx30, 500.0, rng)
-        assert np.all(drop.distances_to_mbs() <= 500.0)
+        drop = drop_faps(ctx30, rng)
+        assert np.all(drop.distances_to_mbs()
+                      <= montecarlo.DROP_REGION_FACTOR * params30.r_m)
 
     def test_annulus_exclusion(self, params100, ctx100):
         rng = np.random.default_rng(4)
-        table = RegulationTable.build(ctx100, d_max=2000.0)
-        drop = drop_faps(ctx100, 2000.0, rng, regulation=table)
+        table = RegulationTable.build(
+            ctx100, d_max=montecarlo.DROP_REGION_FACTOR * params100.r_m)
+        drop = drop_faps(ctx100, rng, regulation=table)
         assert np.all(drop.distances_to_mbs() >= table.d_min_deploy)
-        assert np.all(drop.fap_powers_dbm <= params100.p_f_max_subcarrier_dbm + 1e-9)
+        assert np.all(mw_to_dbm(drop.fap_powers_mw)
+                      <= params100.p_f_max_subcarrier_dbm + 1e-9)
+
+    def test_deployment_distance_outside_the_region_raises(self, params30, ctx30):
+        # A table of another scenario: with 40 dB less MBS power a 100 m
+        # cell keeps the 1000 m cell's edge power, but its 300 m drop region
+        # lies inside the 1000 m cell's minimum deployment distance.
+        table = RegulationTable.build(ctx30)
+        small = BoundContext.from_params(dataclasses.replace(
+            params30, r_m=100.0, p_m_total_dbm=params30.p_m_total_dbm - 40.0))
+        assert table.d_min_deploy >= montecarlo.DROP_REGION_FACTOR * small.params.r_m
+        with pytest.raises(ValueError, match="minimum deployment distance must lie "
+                                             "inside the region"):
+            drop_faps(small, np.random.default_rng(0), regulation=table)
 
     def test_deterministic_given_seed(self, ctx30):
-        a = drop_faps(ctx30, 1000.0, np.random.default_rng(9))
-        b = drop_faps(ctx30, 1000.0, np.random.default_rng(9))
+        a = drop_faps(ctx30, np.random.default_rng(9))
+        b = drop_faps(ctx30, np.random.default_rng(9))
         np.testing.assert_array_equal(a.fap_positions, b.fap_positions)
-        np.testing.assert_array_equal(a.fap_powers_dbm, b.fap_powers_dbm)
+        np.testing.assert_array_equal(a.fap_powers_mw, b.fap_powers_mw)
 
     def test_a_regulated_drop_draws_its_rb_usage_in_small_blocks(self, params100, ctx100):
         # About 900 FAPs and 100 RBs: their uniforms as one float64 matrix
         # would take about 700 KB; the drop's own arrays take under 200 KB.
         table = RegulationTable.build(ctx100)
-        region = montecarlo.DROP_REGION_FACTOR * params100.r_m
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            drop = drop_faps(ctx100, region, rng, regulation=table)
+            drop = drop_faps(ctx100, rng, regulation=table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -94,9 +107,12 @@ def _assert_flips_at(sir, outages_at):
 
 def _one_victim(params, drop, tier, d, serving_dbm=None):
     """Outage count of a single victim at (d, 0), with every gain at 1."""
-    return montecarlo._simulate_drop_outages(
-        params, build_links(params), drop, tier, d, 1, UnitDraws(),
-        montecarlo._Workspace(1, drop.n_faps), serving_dbm)
+    links, rng, ws = build_links(params), UnitDraws(), montecarlo._Workspace(1, drop.n_faps)
+    if tier == "macro":
+        return montecarlo._macro_ue_outages(params, links, drop, d, 1, rng, ws)
+    return montecarlo._femto_ue_outages(
+        params, links, drop, *montecarlo._ring(rng, 0.0, 0.0, d, 1), d,
+        float(dbm_to_mw(serving_dbm)), np.arange(params.n_rb), rng, ws)
 
 
 _EMPTY = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
@@ -111,7 +127,7 @@ class TestSingleDrawSamplers:
         links = build_links(p)
         d = 800.0
         interferer = np.array([[d + 30.0, 0.0]])   # 30 m from the victim
-        drop = FemtoDrop(interferer, np.array([-10.0]), np.ones((1, 100), bool))
+        drop = FemtoDrop(interferer, dbm_to_mw([-10.0]), np.ones((1, 100), bool))
         serving_dbm = -7.79
         sig = dbm_to_mw(serving_dbm) * links.serving_fap_to_indoor.gain \
             / (10**3.7 * 30.0**3)
@@ -126,7 +142,7 @@ class TestSingleDrawSamplers:
         p = params30
         links = build_links(p)
         d = 600.0
-        drop = FemtoDrop(np.array([[d + 50.0, 0.0]]), np.array([-12.0]),
+        drop = FemtoDrop(np.array([[d + 50.0, 0.0]]), dbm_to_mw([-12.0]),
                          np.ones((1, 100), bool))
         sig = dbm_to_mw(p.p_m_subcarrier_dbm) * links.macro_to_outdoor.gain \
             / (links.macro_to_outdoor.phi * d**4)
@@ -139,7 +155,7 @@ class TestSingleDrawSamplers:
         # interferer on top of the victim clamps to the 1 m path distance
         p = params30
         links = build_links(p)
-        drop = FemtoDrop(np.array([[700.0, 0.0]]), np.array([-10.0]),
+        drop = FemtoDrop(np.array([[700.0, 0.0]]), dbm_to_mw([-10.0]),
                          np.ones((1, 100), bool))
         sig = dbm_to_mw(p.p_m_subcarrier_dbm) * links.macro_to_outdoor.gain \
             / (links.macro_to_outdoor.phi * 700.0**4)
@@ -153,14 +169,14 @@ class TestSingleDrawSamplers:
         links = build_links(p)
         masks = np.ones((1, 100), bool)
         masks[0, 3] = False
-        drop = FemtoDrop(np.array([[500.0, 100.0]]), np.array([0.0]), masks)
+        drop = FemtoDrop(np.array([[500.0, 100.0]]), dbm_to_mw([0.0]), masks)
         sig = np.array([1e-12])
         i_fap = dbm_to_mw(0.0) * links.fap_to_outdoor.gain \
             / (links.fap_to_outdoor.phi * 100.0**4)
 
         def outages(gamma, rb):
             return montecarlo._victim_outages(
-                _with_targets(p, gamma), links, drop, False,
+                links.fap_to_outdoor, _with_targets(p, gamma).gamma_m, drop,
                 np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
                 np.array([rb]), UnitDraws(), montecarlo._Workspace(1, 1))
 
@@ -169,6 +185,25 @@ class TestSingleDrawSamplers:
 
     def test_mue_empty_drop_non_outage(self, params30):
         assert _one_victim(_with_targets(params30, 1e30), _EMPTY, "macro", 500.0) == 0
+
+    def test_an_empty_serving_rb_mask_is_redrawn(self, params30):
+        # The serving femtocell transmits in each RB with probability 0.5.
+        # Its first mask is empty; its second holds RBs 3 and 7, and the
+        # victim's RB comes from those two only.  The one interferer
+        # transmits in RB 3 alone, so the victim meets it there.
+        p = _with_targets(params30, 1e30)
+        first, second = np.full(p.n_rb, 0.9), np.full(p.n_rb, 0.9)
+        second[[3, 7]] = 0.1
+        masks = np.zeros((1, p.n_rb), bool)
+        masks[0, 3] = True
+        drop = FemtoDrop(np.array([[600.0, 0.0]]), dbm_to_mw([-10.0]), masks)
+        rng = UnitDraws(random=[first, second])
+        outages = montecarlo._femto_ue_outages(
+            p, build_links(p), drop, np.array([500.0]), np.array([0.0]), 500.0,
+            float(dbm_to_mw(-7.79)), np.arange(p.n_rb), rng,
+            montecarlo._Workspace(1, 1), rb_prob=0.5)
+        assert [rbs.tolist() for rbs in rng.offered] == [[3, 7]]
+        assert outages == 1
 
     def test_fue_infinite_sir_guard(self):
         # MBS power low enough to underflow to zero milliwatts and an empty
@@ -381,7 +416,7 @@ class TestEstimateOp:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("tier", ["femto", "macro"])
     def test_rejects_a_non_finite_distance(self, params30, tier, bad):
-        with pytest.raises(ValueError, match="distances must be finite and positive"):
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
             estimate_op(params30, tier, [500.0, bad], n_drops=1, n_trials=10)
 
     def test_regulated_femto_rejects_excluded_distance(self, params30):
@@ -431,6 +466,9 @@ _PINNED_COUNTS = {
     ("regulated", "femto"): [33, 32],
     ("regulated", "macro"): [37, 28],
 }
+# At N_F = 100 the window is closed at both distances (rho = 0.1454), so
+# the regulated femto victims also draw their serving femtocell's RBs.
+_PINNED_THINNED_FEMTO = [37, 28]
 _PINNED_ASE = {
     30.0: (3.051965038998137e-05, 5.975800365806534e-05, 7),
     100.0: (1.3027705118586428e-05, 6.221381202757487e-05, 4),
@@ -444,6 +482,9 @@ def test_random_stream_layout_is_pinned():
                           seed=11, mode=mode)
         assert [r.n_trials for r in res] == [300, 300]
         assert [round(r.op_estimate * r.n_trials) for r in res] == counts, (mode, tier)
+    res = estimate_op(NetworkParams.from_expected_fap_count(100), "femto", [700.0, 1000.0],
+                      n_drops=6, n_trials=50, seed=11, mode="regulated")
+    assert [round(r.op_estimate * r.n_trials) for r in res] == _PINNED_THINNED_FEMTO
     for nf, (ase_f, ase_m, outages) in _PINNED_ASE.items():
         res = estimate_ase(NetworkParams.from_expected_fap_count(nf), n_drops=4,
                            n_trials=20, seed=11)
@@ -658,7 +699,7 @@ def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, wid
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(montecarlo, "_simulate_drop_outages", lambda *a, **k: 0)
+    monkeypatch.setattr(montecarlo, "_macro_ue_outages", lambda *a, **k: 0)
     params = NetworkParams.from_expected_fap_count(100)
     estimate_op(params, "macro", [500.0], n_drops=64, n_trials=n_trials, seed=1)
     # about 900 expected FAPs in the drop region: a workspace of two arrays
