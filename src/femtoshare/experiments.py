@@ -25,7 +25,7 @@ from .analysis import (
     macro_outage_lower_bound,
 )
 from .model import COUNT_FIELDS, PARAM_FIELDS, NetworkParams, load_scenario
-from .montecarlo import estimate_ase, estimate_op
+from .montecarlo import DROP_REGION_FACTOR, estimate_ase, estimate_op
 from .regulation import (
     RegulationTable,
     min_deployment_distance,
@@ -39,6 +39,9 @@ from .regulation import (
 __all__ = ["ExperimentSpec", "Curve", "run", "main", "PRESETS"]
 
 _DEFAULT_OP_GRID = np.arange(400.0, 1001.0, 100.0)
+_DEFAULT_NF = (30.0, 100.0)
+_DEFAULT_ASE_NF = (10.0, 30.0, 60.0, 100.0)
+_DEFAULT_XI = (10.0, 15.0)
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _monotone_check(name: str, curve: Curve, direction: str) -> dict:
 def _op_vs_distance(spec: ExperimentSpec, mode: str, label: str):
     """Shared engine of the OP-versus-distance figures."""
     drops, trials = spec.scale(100, 1000)
-    nf_values = spec.nf_values or (30.0, 100.0)
+    nf_values = spec.nf_values or _DEFAULT_NF
     curves, checks = [], []
     for nf in nf_values:
         params = spec.params(n_f=nf)
@@ -214,7 +217,7 @@ def preset_fig3(spec: ExperimentSpec):
     curve leaves out the caps below its cell-edge minimum power, which no
     power distribution can span."""
     power_grid = np.arange(10.0, 23.01, 1.0)
-    xi_values = spec.xi_values or (10.0, 15.0)
+    xi_values = spec.xi_values or _DEFAULT_XI
     curves, checks = [], []
     per_xi = {}
     for xi in xi_values:
@@ -244,7 +247,7 @@ def preset_fig4(spec: ExperimentSpec):
     """Power ceiling and exact/approximate power floors versus distance."""
     grid = np.arange(400.0, 1001.0, 50.0)
     curves, checks = [], []
-    for nf in spec.nf_values or (30.0, 100.0):
+    for nf in spec.nf_values or _DEFAULT_NF:
         params = spec.params(n_f=nf)
         ctx = BoundContext.from_params(params)
         tag = f"nf{nf:g}"
@@ -282,7 +285,7 @@ def preset_fig5(spec: ExperimentSpec):
 def preset_fig6(spec: ExperimentSpec):
     """Assigned transmit power and RB access probability versus distance."""
     curves, checks = [], []
-    for nf in spec.nf_values or (30.0, 100.0):
+    for nf in spec.nf_values or _DEFAULT_NF:
         params = spec.params(n_f=nf)
         ctx = BoundContext.from_params(params)
         table = RegulationTable.build(ctx)
@@ -303,9 +306,9 @@ def preset_fig6(spec: ExperimentSpec):
 def preset_fig7(spec: ExperimentSpec):
     """Area spectral efficiency versus femtocell count under regulation."""
     drops, trials = spec.scale(40, 200)
-    nf_grid = np.array(spec.nf_values or (10.0, 30.0, 60.0, 100.0))
+    nf_grid = np.array(spec.nf_values or _DEFAULT_ASE_NF)
     curves, checks = [], []
-    for xi in spec.xi_values or (10.0, 15.0):
+    for xi in spec.xi_values or _DEFAULT_XI:
         rows = []
         for pt, nf in enumerate(nf_grid):
             params = spec.params(n_f=float(nf), xi_db=float(xi))
@@ -478,6 +481,14 @@ def _spec_from_args(args) -> ExperimentSpec:
         points += [(sweep[0], v) for v in sweep[1]]
     for name, value in points:
         BoundContext.from_params(spec.params(**{name: value}))
+    # a regulated preset builds its tables out to the drop region, where the
+    # macro ceiling (non-decreasing in d) is the hardest to meet
+    regulated = {"fig5": [{"n_f": nf} for nf in spec.nf_values or _DEFAULT_NF],
+                 "fig7": [{"n_f": nf, "xi_db": xi} for xi in spec.xi_values or _DEFAULT_XI
+                          for nf in spec.nf_values or _DEFAULT_ASE_NF]}
+    for extra in regulated.get(spec.preset, []):
+        params = spec.params(**extra)
+        power_ceiling_dbm(BoundContext.from_params(params), DROP_REGION_FACTOR * params.r_m)
     return spec
 
 

@@ -13,15 +13,14 @@ circle; this is an unbiased estimator of the same quantity with far less
 drop-geometry variance than a fixed victim.  :func:`_ring` makes every
 uniform-azimuth placement: the victims, and the access points of a drop.
 
-Every estimate builds a batch of victims per drop with one of two
-builders: :func:`_femto_ue_outages` for indoor UEs served by a femtocell,
-:func:`_macro_ue_outages` for outdoor UEs served by the MBS.  Each draws
-its victims' faded signal and fixed interference and hands them, with its
-own interfering link and SIR target, to :func:`_victim_outages`, the one
-path from a drop plus victims to an outage count, and the only caller of
-the numpy outage kernel in :mod:`femtoshare._kernels`.  A drop without
-access points takes the same path: the kernel's sum over no access points
-is zero.
+A drop meets its victims in three steps.  A builder draws a batch of
+victims -- :func:`_femto_ues` for indoor UEs served by a femtocell,
+:func:`_macro_ues` for outdoor UEs served by the MBS -- with their
+positions, faded signal, fixed interference and RBs.  The caller then
+draws the (trial, FAP) fading over their interfering link, and
+:func:`_victim_outages`, the only caller of the numpy outage kernel in
+:mod:`femtoshare._kernels`, counts the outages.  A drop without access
+points takes the same path: the kernel's sum over no access points is zero.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
@@ -44,6 +43,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,61 +177,58 @@ def _received(rng: np.random.Generator, link, p_mw, d, n: int):
     return link.mean_rx_mw(p_mw, d) * hq
 
 
-def _victim_outages(link, gamma: float, drop: FemtoDrop, ux, uy, sig, fixed, rbs,
-                    rng: np.random.Generator, ws: _Workspace, skip: int = -1) -> int:
-    """Outage count of a batch of victims against one drop.
+# A batch of victims: UE t sits at (ux[t], uy[t]) in RB rb[t] with faded
+# signal sig[t] and fixed (non-FAP) interference fixed[t], both in mW, and
+# is in outage below SIR gamma; the FAPs reach it over link.
+_Victims = namedtuple("_Victims", "link gamma ux uy sig fixed rb")
 
-    Victim ``t`` sits at ``(ux[t], uy[t])`` with faded signal ``sig[t]`` and
-    fixed (non-FAP) interference ``fixed[t]``, both in mW, and is in outage
-    below SIR ``gamma``; the FAPs reach it over ``link``.  Each victim draws
-    its RB from ``rbs``, then every FAP's fading towards it; FAP ``skip``
-    (the victim's own serving FAP) is left out of the sum.  A victim with no
-    interference at all is not in outage.  The (victim, FAP) arrays live in
-    ``ws``.
-    """
-    n = sig.shape[0]
-    rb = rng.choice(rbs, size=n)
-    hq_i, gain = ws.arrays(n, drop.n_faps)
-    _hq(rng, link, hq_i, gain)
+
+def _fading(rng: np.random.Generator, link, ws: _Workspace, n_trials: int, drop: FemtoDrop):
+    """The (trial, FAP) fading over ``link`` from the FAPs of ``drop``, drawn
+    into ``ws``, and the workspace's other array, scratch for the kernel."""
+    hq, gain = ws.arrays(n_trials, drop.n_faps)
+    return _hq(rng, link, hq, gain), gain
+
+
+def _victim_outages(v: _Victims, drop: FemtoDrop, hq, gain, skip: int = -1) -> int:
+    """Outage count of the victims ``v`` against one drop, with ``hq[t, i]``
+    the fading from FAP ``i`` to victim ``t``; FAP ``skip`` (the victims'
+    own serving FAP) is left out of the sum.  A victim with no interference
+    at all is not in outage.  ``gain`` is overwritten; ``hq`` is not."""
     # per-FAP mean power at 1 m; the kernel applies fading and distance
-    p_coef = link.mean_rx_mw(drop.fap_powers_mw, 1.0)
+    p_coef = v.link.mean_rx_mw(drop.fap_powers_mw, 1.0)
     return int(_kernels.outage_count(
-        sig, fixed, hq_i, p_coef, *drop.fap_positions.T, ux, uy, link.alpha / 2.0,
-        drop.fap_rb_masks, rb, gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
+        v.sig, v.fixed, hq, p_coef, *drop.fap_positions.T, v.ux, v.uy, v.link.alpha / 2.0,
+        drop.fap_rb_masks, v.rb, v.gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
 
 
-def _femto_ue_outages(params: NetworkParams, links, drop: FemtoDrop, ux, uy,
-                      d_mbs: float, p_mw: float, rbs, rng: np.random.Generator,
-                      ws: _Workspace, rb_prob: float = 1.0, skip: int = -1) -> int:
-    """Outage count of indoor UEs at ``(ux, uy)`` against one drop, each at
-    the edge of a femtocell ``d_mbs`` from the MBS that serves it at power
-    ``p_mw``.  The victims' RBs come from ``rbs``; with ``rb_prob`` below 1
-    the femtocell transmits in each of them with that probability, and the
-    victims' RBs come from the ones it draws.  FAP ``skip`` is left out of
-    the interference."""
+def _femto_ues(params: NetworkParams, links, ux, uy, d_mbs: float, p_mw: float, rbs,
+               rng: np.random.Generator, rb_prob: float = 1.0) -> _Victims:
+    """The :data:`_Victims` of indoor UEs at ``(ux, uy)``, each at the edge of
+    a femtocell ``d_mbs`` from the MBS that serves it at power ``p_mw``.
+    Their RBs come from ``rbs``; with ``rb_prob`` below 1 the femtocell
+    transmits in each of them with that probability, and the victims' RBs
+    come from the ones it draws."""
     n = ux.shape[0]
-    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
     sig = _received(rng, links.serving_fap_to_indoor, p_mw, params.r_f, n)
-    fixed = _received(rng, links.macro_to_indoor, p_m_mw, d_mbs, n)
+    fixed = _received(rng, links.macro_to_indoor, dbm_to_mw(params.p_m_subcarrier_dbm),
+                      d_mbs, n)
     if rb_prob < 1.0:
         mask = rng.random(rbs.size) < rb_prob
         while not mask.any():
             mask = rng.random(rbs.size) < rb_prob
         rbs = rbs[mask]
-    return _victim_outages(links.interfering_fap_to_indoor, params.gamma_f, drop,
-                           ux, uy, sig, fixed, rbs, rng, ws, skip)
+    return _Victims(links.interfering_fap_to_indoor, params.gamma_f, ux, uy, sig, fixed,
+                    rng.choice(rbs, size=n))
 
 
-def _macro_ue_outages(params: NetworkParams, links, drop: FemtoDrop, r, n: int,
-                      rng: np.random.Generator, ws: _Workspace) -> int:
-    """Outage count of ``n`` outdoor UEs against one drop, each at a
-    uniform azimuth at range ``r`` (a scalar, or one per UE) from the MBS
-    that serves it, in any RB."""
-    p_m_mw = float(dbm_to_mw(params.p_m_subcarrier_dbm))
+def _macro_ues(params: NetworkParams, links, r, n: int, rng: np.random.Generator):
+    """The :data:`_Victims` of ``n`` outdoor UEs, each at a uniform azimuth at
+    range ``r`` (a scalar, or one per UE) from the MBS that serves it, in any RB."""
     ux, uy = _ring(rng, 0.0, 0.0, r, n)
-    sig = _received(rng, links.macro_to_outdoor, p_m_mw, r, n)
-    return _victim_outages(links.fap_to_outdoor, params.gamma_m, drop, ux, uy, sig,
-                           np.zeros(n), np.arange(params.n_rb), rng, ws)
+    sig = _received(rng, links.macro_to_outdoor, dbm_to_mw(params.p_m_subcarrier_dbm), r, n)
+    return _Victims(links.fap_to_outdoor, params.gamma_m, ux, uy, sig, np.zeros(n),
+                    rng.choice(np.arange(params.n_rb), size=n))
 
 
 # -- batched estimation ------------------------------------------------------
@@ -368,9 +365,7 @@ def estimate_op(
     ctx = BoundContext.from_params(params)
     region = DROP_REGION_FACTOR * params.r_m
     links = ctx.links
-    regulation = None
-    if mode == "regulated":
-        regulation = RegulationTable.build(ctx, d_max=region)
+    regulation = RegulationTable.build(ctx, d_max=region) if mode == "regulated" else None
     if mode == "regulated" and tier == "femto":
         dec = decide(ctx, distances)
         excluded = dec.transmit_prob == 0.0
@@ -391,10 +386,12 @@ def estimate_op(
         drop = drop_faps(ctx, rng, regulation=regulation)
         d = float(distances[j])
         if tier == "macro":
-            return _macro_ue_outages(params, links, drop, d, n_trials, rng, ws)
-        p_mw, prob = serving[j]
-        return _femto_ue_outages(params, links, drop, *_ring(rng, 0.0, 0.0, d, n_trials),
-                                 d, p_mw, rbs, rng, ws, rb_prob=prob)
+            v = _macro_ues(params, links, d, n_trials, rng)
+        else:
+            p_mw, prob = serving[j]
+            v = _femto_ues(params, links, *_ring(rng, 0.0, 0.0, d, n_trials), d, p_mw, rbs,
+                           rng, rb_prob=prob)
+        return _victim_outages(v, drop, *_fading(rng, v.link, ws, n_trials, drop))
 
     counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
                         params.lambda_f * math.pi * region**2)
@@ -419,6 +416,11 @@ def estimate_ase(
     femtocells (all of them when fewer); the macro term averages success
     over macro UEs placed uniformly in the cell.  ``op_estimate`` reports
     the pooled macro outage probability.
+
+    The tagged femtocells' edge UEs share one (trial, FAP) fading draw per
+    drop, each batch leaving out its own FAP's column.  Each femtocell's
+    term keeps its distribution, so the estimate stays unbiased; only the
+    terms of one drop become correlated (common random numbers).
     """
     if n_drops < 1 or n_trials < 1:
         raise ValueError("n_drops and n_trials must be >= 1")
@@ -440,6 +442,7 @@ def estimate_ase(
         if in_cell.size:
             n_tag = min(TAGGED_FAPS_PER_DROP, in_cell.size)
             tagged = rng.choice(in_cell, size=n_tag, replace=False)
+            hq, gain = _fading(rng, links.interfering_fap_to_indoor, ws, n_trials, drop)
             for j in tagged:
                 active_rbs = np.flatnonzero(drop.fap_rb_masks[j])
                 if active_rbs.size == 0:
@@ -448,15 +451,16 @@ def estimate_ase(
                 x, y = drop.fap_positions[j]
                 # UEs of one femtocell share their access point's macro path loss
                 d_j = max(float(np.hypot(x, y)), 1.0)
-                outages = _femto_ue_outages(
-                    params, links, drop, *_ring(rng, x, y, params.r_f, n_trials), d_j,
-                    drop.fap_powers_mw[j], active_rbs, rng, ws, skip=int(j))
+                v = _femto_ues(params, links, *_ring(rng, x, y, params.r_f, n_trials), d_j,
+                               drop.fap_powers_mw[j], active_rbs, rng)
+                outages = _victim_outages(v, drop, hq, gain, skip=int(j))
                 density_success += activity * ((n_trials - outages) / n_trials)
             density_success *= in_cell.size / n_tag
-        # macro side: victims placed uniformly in the cell
+        # macro side: victims placed uniformly in the cell, with fading of their own
         radius = np.maximum(params.r_m * np.sqrt(rng.random(n_trials)), 1.0)
-        return density_success, n_trials - _macro_ue_outages(
-            params, links, drop, radius, n_trials, rng, ws)
+        v = _macro_ues(params, links, radius, n_trials, rng)
+        return density_success, n_trials - _victim_outages(
+            v, drop, *_fading(rng, v.link, ws, n_trials, drop))
 
     # accumulate in drop order, so the sums do not depend on the thread count
     ase_f_acc = 0.0

@@ -133,10 +133,13 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     ("fig3", ["--config", "no-such-scenario.json"], None),
     ("fig1", ["--seed", "-1"], None),
     ("custom", ["--sweep", "p_f_max_total_dbm", "5"], None),
+    # the macro ceiling is unreachable from 2518 m out, inside the drop region
+    ("fig5", ["--nf", "100"], '{"eps_m": 0.02}'),
+    ("fig7", [], '{"eps_m": 0.02}'),
 ], ids=["nf-negative", "nf-nan", "xi-nan", "sweep-inconsistent-rb", "sweep-fractional-rb",
         "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
         "config-not-json", "config-float-count", "config-missing", "seed-negative",
-        "sweep-cap-below-edge-minimum"])
+        "sweep-cap-below-edge-minimum", "fig5-table-infeasible", "fig7-table-infeasible"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):
     # every bad input is caught before a preset runs: exit 2, one line on
     # stderr, no traceback and no output directory

@@ -109,10 +109,12 @@ def _one_victim(params, drop, tier, d, serving_dbm=None):
     """Outage count of a single victim at (d, 0), with every gain at 1."""
     links, rng, ws = build_links(params), UnitDraws(), montecarlo._Workspace(1, drop.n_faps)
     if tier == "macro":
-        return montecarlo._macro_ue_outages(params, links, drop, d, 1, rng, ws)
-    return montecarlo._femto_ue_outages(
-        params, links, drop, *montecarlo._ring(rng, 0.0, 0.0, d, 1), d,
-        float(dbm_to_mw(serving_dbm)), np.arange(params.n_rb), rng, ws)
+        v = montecarlo._macro_ues(params, links, d, 1, rng)
+    else:
+        v = montecarlo._femto_ues(
+            params, links, *montecarlo._ring(rng, 0.0, 0.0, d, 1), d,
+            float(dbm_to_mw(serving_dbm)), np.arange(params.n_rb), rng)
+    return montecarlo._victim_outages(v, drop, *montecarlo._fading(rng, v.link, ws, 1, drop))
 
 
 _EMPTY = FemtoDrop(np.empty((0, 2)), np.empty(0), np.ones((0, 100), bool))
@@ -175,10 +177,10 @@ class TestSingleDrawSamplers:
             / (links.fap_to_outdoor.phi * 100.0**4)
 
         def outages(gamma, rb):
-            return montecarlo._victim_outages(
-                links.fap_to_outdoor, _with_targets(p, gamma).gamma_m, drop,
-                np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
-                np.array([rb]), UnitDraws(), montecarlo._Workspace(1, 1))
+            v = montecarlo._Victims(links.fap_to_outdoor, _with_targets(p, gamma).gamma_m,
+                                    np.array([500.0]), np.array([0.0]), sig, np.zeros(1),
+                                    np.array([rb]))
+            return montecarlo._victim_outages(v, drop, np.ones((1, 1)), np.empty((1, 1)))
 
         _assert_flips_at(sig[0] / i_fap, lambda g: outages(g, 2))
         assert outages(sig[0] / i_fap * 1e6, 3) == 0
@@ -198,12 +200,11 @@ class TestSingleDrawSamplers:
         masks[0, 3] = True
         drop = FemtoDrop(np.array([[600.0, 0.0]]), dbm_to_mw([-10.0]), masks)
         rng = UnitDraws(random=[first, second])
-        outages = montecarlo._femto_ue_outages(
-            p, build_links(p), drop, np.array([500.0]), np.array([0.0]), 500.0,
-            float(dbm_to_mw(-7.79)), np.arange(p.n_rb), rng,
-            montecarlo._Workspace(1, 1), rb_prob=0.5)
+        v = montecarlo._femto_ues(
+            p, build_links(p), np.array([500.0]), np.array([0.0]), 500.0,
+            float(dbm_to_mw(-7.79)), np.arange(p.n_rb), rng, rb_prob=0.5)
         assert [rbs.tolist() for rbs in rng.offered] == [[3, 7]]
-        assert outages == 1
+        assert montecarlo._victim_outages(v, drop, np.ones((1, 1)), np.empty((1, 1))) == 1
 
     def test_fue_infinite_sir_guard(self):
         # MBS power low enough to underflow to zero milliwatts and an empty
@@ -470,8 +471,8 @@ _PINNED_COUNTS = {
 # the regulated femto victims also draw their serving femtocell's RBs.
 _PINNED_THINNED_FEMTO = [37, 28]
 _PINNED_ASE = {
-    30.0: (3.051965038998137e-05, 5.975800365806534e-05, 7),
-    100.0: (1.3027705118586428e-05, 6.221381202757487e-05, 4),
+    30.0: (3.0410680314924124e-05, 5.812079807839231e-05, 9),
+    100.0: (1.3086594841254209e-05, 6.385101760724789e-05, 2),
 }
 
 
@@ -492,6 +493,45 @@ def test_random_stream_layout_is_pinned():
         assert round(res.op_estimate * res.n_trials) == outages
         assert res.ase_f == pytest.approx(ase_f, rel=1e-12)
         assert res.ase_m == pytest.approx(ase_m, rel=1e-12)
+
+
+def _fading_draws(monkeypatch, estimate):
+    """Shapes of the (trial, FAP) fading draws that ``estimate()`` makes,
+    and the ``skip`` of each kernel call."""
+    draws, skips = [], []
+    hq, kernel = montecarlo._hq, _kernels.outage_count
+
+    def drawing(rng, link, out, shadow):
+        if out.ndim == 2:
+            draws.append(out.shape)
+        return hq(rng, link, out, shadow)
+
+    def counting(*args):
+        skips.append(args[13])
+        return kernel(*args)
+
+    monkeypatch.setattr(montecarlo, "_hq", drawing)
+    monkeypatch.setattr(_kernels, "outage_count", counting)
+    estimate()
+    return draws, skips
+
+
+def test_an_ase_drop_draws_its_fading_twice(monkeypatch, params30):
+    # Drop 0 of seed 0 holds 30 in-cell FAPs, so 24 are tagged.  Their edge
+    # UEs share one draw over the indoor link; the uniform MUEs draw their own.
+    draws, skips = _fading_draws(monkeypatch, lambda: estimate_ase(
+        params30, n_drops=1, n_trials=20, seed=0))
+    assert len([s for s in skips if s >= 0]) == 24 and skips[-1] == -1
+    assert len(draws) == 2
+    assert draws[0] == draws[1] and draws[0][0] == 20
+
+
+@pytest.mark.parametrize("tier", ["femto", "macro"])
+def test_an_op_drop_draws_its_fading_once(monkeypatch, params30, tier):
+    draws, skips = _fading_draws(monkeypatch, lambda: estimate_op(
+        params30, tier, [500.0, 800.0], n_drops=3, n_trials=20, seed=0))
+    assert len(draws) == len(skips) == 6
+    assert all(n_trials == 20 for n_trials, _ in draws)
 
 
 _ESTIMATES = """
@@ -689,7 +729,7 @@ def test_drops_reuse_their_memory():
 @pytest.mark.parametrize("n_trials, width", [(80, 64), (1000, 16)])
 def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, width):
     # 64 usable CPUs, but the pool is only asked for its width: two real
-    # threads run the drops, and the drops themselves are stubbed out
+    # threads run the drops, and every drop is an empty field
     widths = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -699,7 +739,7 @@ def test_pool_width_is_capped_by_the_drop_working_set(monkeypatch, n_trials, wid
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 64)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(montecarlo, "_macro_ue_outages", lambda *a, **k: 0)
+    monkeypatch.setattr(montecarlo, "drop_faps", lambda *a, **k: _EMPTY)
     params = NetworkParams.from_expected_fap_count(100)
     estimate_op(params, "macro", [500.0], n_drops=64, n_trials=n_trials, seed=1)
     # about 900 expected FAPs in the drop region: a workspace of two arrays
