@@ -36,7 +36,7 @@ def outage_count(sig, fixed, hq, p_coef, px, py, ux, uy,
     np.power(gain, half_alpha, out=gain)
     np.divide(hq, gain, out=gain)
     if not masks.all():
-        gain *= masks[:, rb].T
+        gain *= masks.T[rb]
     if skip >= 0:
         gain[:, skip] = 0.0
     interf = fixed + gain @ p_coef

@@ -443,6 +443,13 @@ def _sweep_value(name: str, text: str):
 def _spec_from_args(args) -> ExperimentSpec:
     """The run's spec, with every scenario it sets checked up front; raises
     ValueError (OSError for an unreadable config) on bad input."""
+    sims = ("fig1", "fig2", "fig5", "fig7", "custom")   # the simulated presets
+    for flag, value, takers in (("--xi", args.xi, ("fig3", "fig7")),
+                                ("--nf", args.nf, set(PRESETS) - {"fig3", "custom"}),
+                                ("--sweep", args.sweep, ("custom",)),
+                                ("--drops", args.drops, sims), ("--trials", args.trials, sims)):
+        if value is not None and args.preset not in takers:
+            raise ValueError(f"{args.preset} does not take {flag}")
     for flag, count in (("--drops", args.drops), ("--trials", args.trials)):
         if count is not None and count < 1:
             raise ValueError(f"{flag} must be a positive count")

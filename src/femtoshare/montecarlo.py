@@ -21,6 +21,8 @@ draws the (trial, FAP) fading over their interfering link, and
 :func:`_victim_outages`, the only caller of the numpy outage kernel in
 :mod:`femtoshare._kernels`, counts the outages.  A drop without access
 points takes the same path: the kernel's sum over no access points is zero.
+:func:`estimate_ase` builds the edge UEs of all of a drop's tagged
+femtocells in one call, and counts each femtocell's slice of them apart.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
@@ -110,7 +112,7 @@ def _pooled(outages: int, n: int) -> tuple[float, float]:
 
 def _ring(rng: np.random.Generator, cx, cy, radius, n: int):
     """x and y of ``n`` points at uniform azimuths on the circle of
-    ``radius`` (a scalar, or one per point) about ``(cx, cy)``."""
+    ``radius`` about ``(cx, cy)``, each a scalar or one per point."""
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     return cx + radius * np.cos(theta), cy + radius * np.sin(theta)
 
@@ -143,8 +145,8 @@ def drop_faps(
         tx_dbm, prob, deployed = regulation.query(radius)
         pos, tx_dbm, prob = pos[deployed], tx_dbm[deployed], prob[deployed]
         n = pos.shape[0]
-        # rng.random((n, n_rb)) < prob[:, None], drawn 64 rows at a time
-        masks = np.empty((n, params.n_rb), dtype=bool)
+        # rng.random((n, n_rb)) < prob[:, None] in 64-row blocks, stored RB-major
+        masks = np.empty((params.n_rb, n), dtype=bool).T
         block = np.empty((min(n, 64), params.n_rb))
         for i in range(0, n, 64):
             masks[i:i + 64] = rng.random(out=block[:n - i]) < prob[i:i + 64, None]
@@ -202,24 +204,29 @@ def _victim_outages(v: _Victims, drop: FemtoDrop, hq, gain, skip: int = -1) -> i
         drop.fap_rb_masks, v.rb, v.gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
 
 
-def _femto_ues(params: NetworkParams, links, ux, uy, d_mbs: float, p_mw: float, rbs,
+def _femto_ues(params: NetworkParams, links, ux, uy, d_mbs, p_mw, rb_masks,
                rng: np.random.Generator, rb_prob: float = 1.0) -> _Victims:
     """The :data:`_Victims` of indoor UEs at ``(ux, uy)``, each at the edge of
-    a femtocell ``d_mbs`` from the MBS that serves it at power ``p_mw``.
-    Their RBs come from ``rbs``; with ``rb_prob`` below 1 the femtocell
-    transmits in each of them with that probability, and the victims' RBs
-    come from the ones it draws."""
+    a femtocell ``d_mbs`` from the MBS that serves it at power ``p_mw`` (a
+    scalar, or one per UE).  ``rb_masks`` holds the femtocells' RBs, one row
+    each, and the UEs fall to its rows in equal runs; each UE's RB is uniform
+    over its own femtocell's.  With ``rb_prob`` below 1 the one femtocell
+    transmits in each RB with that probability, drawn here."""
     n = ux.shape[0]
     sig = _received(rng, links.serving_fap_to_indoor, p_mw, params.r_f, n)
     fixed = _received(rng, links.macro_to_indoor, dbm_to_mw(params.p_m_subcarrier_dbm),
                       d_mbs, n)
     if rb_prob < 1.0:
-        mask = rng.random(rbs.size) < rb_prob
+        mask = rng.random(rb_masks.size) < rb_prob
         while not mask.any():
-            mask = rng.random(rbs.size) < rb_prob
-        rbs = rbs[mask]
-    return _Victims(links.interfering_fap_to_indoor, params.gamma_f, ux, uy, sig, fixed,
-                    rng.choice(rbs, size=n))
+            mask = rng.random(rb_masks.size) < rb_prob
+        rb_masks = rb_masks & mask
+    # an index into the UE's own femtocell's run of active RBs, drawn from
+    # the stream as rng.choice draws one
+    rbs, count = np.nonzero(rb_masks)[1], np.count_nonzero(rb_masks, axis=1)
+    run = n // len(rb_masks)
+    rb = rbs[np.repeat(np.cumsum(count) - count, run) + rng.integers(np.repeat(count, run))]
+    return _Victims(links.interfering_fap_to_indoor, params.gamma_f, ux, uy, sig, fixed, rb)
 
 
 def _macro_ues(params: NetworkParams, links, r, n: int, rng: np.random.Generator):
@@ -377,7 +384,7 @@ def estimate_op(
                            dec.transmit_prob.tolist()))
     else:
         serving = [(ctx.p_serving_mw, 1.0)] * len(distances)
-    rbs = np.arange(params.n_rb)
+    every_rb = np.ones((1, params.n_rb), dtype=bool)
 
     # one task per (point, drop) pair, so the pool stays busy across points
     def drop_outages(i: int, ws: _Workspace) -> int:
@@ -389,8 +396,8 @@ def estimate_op(
             v = _macro_ues(params, links, d, n_trials, rng)
         else:
             p_mw, prob = serving[j]
-            v = _femto_ues(params, links, *_ring(rng, 0.0, 0.0, d, n_trials), d, p_mw, rbs,
-                           rng, rb_prob=prob)
+            v = _femto_ues(params, links, *_ring(rng, 0.0, 0.0, d, n_trials), d, p_mw,
+                           every_rb, rng, rb_prob=prob)
         return _victim_outages(v, drop, *_fading(rng, v.link, ws, n_trials, drop))
 
     counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
@@ -417,10 +424,12 @@ def estimate_ase(
     over macro UEs placed uniformly in the cell.  ``op_estimate`` reports
     the pooled macro outage probability.
 
-    The tagged femtocells' edge UEs share one (trial, FAP) fading draw per
-    drop, each batch leaving out its own FAP's column.  Each femtocell's
-    term keeps its distribution, so the estimate stays unbiased; only the
-    terms of one drop become correlated (common random numbers).
+    The tagged femtocells' edge UEs are drawn in one batch per drop, each
+    at its own femtocell's position, power, distance and RBs, and share one
+    (trial, FAP) fading draw, each femtocell's UEs leaving out its own
+    column.  Each femtocell's term keeps its distribution, so the estimate
+    stays unbiased; the batch only reorders the stream, and the terms of one
+    drop become correlated (common random numbers).
     """
     if n_drops < 1 or n_trials < 1:
         raise ValueError("n_drops and n_trials must be >= 1")
@@ -443,18 +452,21 @@ def estimate_ase(
             n_tag = min(TAGGED_FAPS_PER_DROP, in_cell.size)
             tagged = rng.choice(in_cell, size=n_tag, replace=False)
             hq, gain = _fading(rng, links.interfering_fap_to_indoor, ws, n_trials, drop)
-            for j in tagged:
-                active_rbs = np.flatnonzero(drop.fap_rb_masks[j])
-                if active_rbs.size == 0:
-                    continue
-                activity = active_rbs.size / params.n_rb
-                x, y = drop.fap_positions[j]
+            # one batch of n_trials edge UEs per tagged femtocell that transmits
+            live = tagged[drop.fap_rb_masks[tagged].any(axis=1)]
+            if live.size:
+                x, y = drop.fap_positions[live].repeat(n_trials, axis=0).T
+                masks = drop.fap_rb_masks[live]
                 # UEs of one femtocell share their access point's macro path loss
-                d_j = max(float(np.hypot(x, y)), 1.0)
-                v = _femto_ues(params, links, *_ring(rng, x, y, params.r_f, n_trials), d_j,
-                               drop.fap_powers_mw[j], active_rbs, rng)
-                outages = _victim_outages(v, drop, hq, gain, skip=int(j))
-                density_success += activity * ((n_trials - outages) / n_trials)
+                batch = _femto_ues(params, links, *_ring(rng, x, y, params.r_f, x.size),
+                                   np.maximum(np.hypot(x, y), 1.0),
+                                   drop.fap_powers_mw[live].repeat(n_trials), masks, rng)
+                active = np.count_nonzero(masks, axis=1).tolist()
+                for i, (j, n_active) in enumerate(zip(live.tolist(), active)):
+                    s = slice(i * n_trials, (i + 1) * n_trials)
+                    v = _Victims(batch.link, batch.gamma, *(a[s] for a in batch[2:]))
+                    outages = _victim_outages(v, drop, hq, gain, skip=j)
+                    density_success += n_active / params.n_rb * ((n_trials - outages) / n_trials)
             density_success *= in_cell.size / n_tag
         # macro side: victims placed uniformly in the cell, with fading of their own
         radius = np.maximum(params.r_m * np.sqrt(rng.random(n_trials)), 1.0)
@@ -463,9 +475,7 @@ def estimate_ase(
             v, drop, *_fading(rng, v.link, ws, n_trials, drop))
 
     # accumulate in drop order, so the sums do not depend on the thread count
-    ase_f_acc = 0.0
-    ase_m_acc = 0.0
-    mue_outages = 0
+    ase_f_acc, ase_m_acc, mue_outages = 0.0, 0.0, 0
     for density_success, succ_m in _map_drops(drop_terms, n_drops, n_trials,
                                               params.lambda_f * math.pi * region**2):
         ase_f_acc += density_success / cell_area * se_f

@@ -268,20 +268,6 @@ def rb_access_probability(ctx: BoundContext) -> float:
     return min(math.exp(ln_moment(ceiling_edge) - ln_moment(p.p_f_max_subcarrier_dbm)), 1.0)
 
 
-def _window_dbm(ctx: BoundContext, d: np.ndarray):
-    """Exact power floor and window top (the ceiling, capped) over an array
-    of distances at or past the minimum deployment distance."""
-    cap = ctx.params.p_f_max_subcarrier_dbm
-    # In the boundary sliver just above the minimum deployment distance the
-    # exact floor peeks over the cap; it is pinned to the cap there.
-    lb = _floor_exact_dbm(ctx, d)[0]
-    ceiling, feasible = _ceiling_dbm(ctx, d)
-    if not feasible.all():
-        raise InfeasibleError("macro outage constraint unreachable at "
-                              f"d={d[~feasible][0]:.1f} m for any power ceiling")
-    return lb, np.minimum(ceiling, cap)
-
-
 def decide(ctx: BoundContext, d) -> RegulationDecision:
     """Self-regulation decisions for femtocells ``d`` meters from the MBS,
     elementwise over an array ``d``: the exact power floor and the window
@@ -293,7 +279,14 @@ def decide(ctx: BoundContext, d) -> RegulationDecision:
     d = np.asarray(_distances(d))
     deployed = d >= min_deployment_distance(ctx)
     lb, ub = np.full(d.shape, math.nan), np.full(d.shape, math.nan)
-    lb[deployed], ub[deployed] = _window_dbm(ctx, d[deployed])
+    # In the boundary sliver just above the minimum deployment distance the
+    # exact floor peeks over the cap; it is pinned to the cap there.
+    lb[deployed] = _floor_exact_dbm(ctx, d[deployed])[0]
+    ceiling, feasible = _ceiling_dbm(ctx, d[deployed])
+    if not feasible.all():
+        raise InfeasibleError("macro outage constraint unreachable at "
+                              f"d={d[deployed][~feasible][0]:.1f} m for any power ceiling")
+    ub[deployed] = np.minimum(ceiling, ctx.params.p_f_max_subcarrier_dbm)
     thinned = lb > ub
     prob = np.where(deployed, 1.0, 0.0)
     if thinned.any():
@@ -335,19 +328,24 @@ class RegulationTable:
         d_min = min_deployment_distance(ctx)
         grid = np.geomspace(d_min, max(d_max, d_min * 1.001), _TABLE_POINTS)
         dec = decide(ctx, grid)
-        lb, ub = dec.p_lb_dbm, dec.p_ub_dbm
-        thinned = lb > ub
+        thinned = dec.p_lb_dbm > dec.p_ub_dbm
         rho = float(dec.transmit_prob[thinned][0]) if thinned.any() else rb_access_probability(ctx)
         if not thinned.any():
             onset = math.inf
         elif thinned[0]:
             onset = d_min
         else:
-            # the root of ub - lb between the grid's last open and first
-            # closed point; the onset is the closed end, so decide() thins there
+            # between the grid's last open and first closed point, the root of
+            # eps_f less the femto bound at the window top: of the sign of ub - lb
+            eps_f, cap = ctx.params.eps_f, ctx.params.p_f_max_subcarrier_dbm
+
+            def margin(x, i=None):
+                top = np.minimum(_ceiling_dbm(ctx, x)[0], cap)
+                return np.where(top == cap, eps_f, eps_f - _femto_bound(ctx, x, dbm_to_mw(top))[2])
+
             k = int(np.argmax(thinned))
-            cell = slice(k - 1, k + 1)
-            onset = float(_bracketed_root(
-                lambda x, i: np.subtract(*_window_dbm(ctx, x)[::-1]),
-                *grid[cell], *(ub - lb)[cell], grid[k], _ONSET_XTOL_M)[1][0])
+            cell = grid[k - 1:k + 1]
+            # the onset is the closed end, so decide() thins there
+            onset = float(_bracketed_root(margin, *cell, *margin(cell), grid[k],
+                                          _ONSET_XTOL_M)[1][0])
         return cls(d_min, onset, rho, grid, dec.tx_power_dbm)

@@ -136,10 +136,23 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     # the macro ceiling is unreachable from 2518 m out, inside the drop region
     ("fig5", ["--nf", "100"], '{"eps_m": 0.02}'),
     ("fig7", [], '{"eps_m": 0.02}'),
+    # flags a preset would ignore
+    ("fig6", ["--xi", "15"], None),
+    ("fig1", ["--xi", "15"], None),
+    ("custom", ["--xi", "15"], None),
+    ("fig3", ["--nf", "30"], None),
+    ("custom", ["--nf", "30"], None),
+    ("fig4", ["--sweep", "xi_db", "5", "10"], None),
+    ("fig7", ["--sweep", "xi_db", "5"], None),
+    ("fig3", ["--drops", "5"], None),
+    ("fig4", ["--trials", "5"], None),
+    ("fig6", ["--drops", "5", "--trials", "5"], None),
 ], ids=["nf-negative", "nf-nan", "xi-nan", "sweep-inconsistent-rb", "sweep-fractional-rb",
         "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
         "config-not-json", "config-float-count", "config-missing", "seed-negative",
-        "sweep-cap-below-edge-minimum", "fig5-table-infeasible", "fig7-table-infeasible"])
+        "sweep-cap-below-edge-minimum", "fig5-table-infeasible", "fig7-table-infeasible",
+        "fig6-xi", "fig1-xi", "custom-xi", "fig3-nf", "custom-nf", "fig4-sweep", "fig7-sweep",
+        "fig3-drops", "fig4-trials", "fig6-drops-trials"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):
     # every bad input is caught before a preset runs: exit 2, one line on
     # stderr, no traceback and no output directory

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import inspect
 import itertools
 import math
 import os
@@ -113,7 +114,7 @@ def _one_victim(params, drop, tier, d, serving_dbm=None):
     else:
         v = montecarlo._femto_ues(
             params, links, *montecarlo._ring(rng, 0.0, 0.0, d, 1), d,
-            float(dbm_to_mw(serving_dbm)), np.arange(params.n_rb), rng)
+            float(dbm_to_mw(serving_dbm)), np.ones((1, params.n_rb), bool), rng)
     return montecarlo._victim_outages(v, drop, *montecarlo._fading(rng, v.link, ws, 1, drop))
 
 
@@ -202,8 +203,8 @@ class TestSingleDrawSamplers:
         rng = UnitDraws(random=[first, second])
         v = montecarlo._femto_ues(
             p, build_links(p), np.array([500.0]), np.array([0.0]), 500.0,
-            float(dbm_to_mw(-7.79)), np.arange(p.n_rb), rng, rb_prob=0.5)
-        assert [rbs.tolist() for rbs in rng.offered] == [[3, 7]]
+            float(dbm_to_mw(-7.79)), np.ones((1, p.n_rb), bool), rng, rb_prob=0.5)
+        assert v.rb.tolist() == [3]
         assert montecarlo._victim_outages(v, drop, np.ones((1, 1)), np.empty((1, 1))) == 1
 
     def test_fue_infinite_sir_guard(self):
@@ -471,8 +472,8 @@ _PINNED_COUNTS = {
 # the regulated femto victims also draw their serving femtocell's RBs.
 _PINNED_THINNED_FEMTO = [37, 28]
 _PINNED_ASE = {
-    30.0: (3.0410680314924124e-05, 5.812079807839231e-05, 9),
-    100.0: (1.3086594841254209e-05, 6.385101760724789e-05, 2),
+    30.0: (3.087122226371871e-05, 5.975800365806534e-05, 7),
+    100.0: (1.3075198865510064e-05, 6.139520923773836e-05, 5),
 }
 
 
@@ -524,6 +525,40 @@ def test_an_ase_drop_draws_its_fading_twice(monkeypatch, params30):
     assert len([s for s in skips if s >= 0]) == 24 and skips[-1] == -1
     assert len(draws) == 2
     assert draws[0] == draws[1] and draws[0][0] == 20
+
+
+def test_an_ase_batch_keeps_each_victim_with_its_own_femtocell(monkeypatch, params30):
+    # One regulated drop: FAP 0 transmits in RB 7 alone, its neighbour FAP 1
+    # in RBs 20-59, FAP 2 in no RB (tagged, but it has no victims), FAP 3 in
+    # every other RB; FAP 4 lies outside the cell.  Every victim of the one
+    # batch must lie r_f from the FAP whose column its kernel call skips, in
+    # an RB that FAP transmits in.
+    n_rb = params30.n_rb
+    pos = np.array([[300.0, 0.0], [340.0, 0.0], [-500.0, 200.0], [0.0, -800.0],
+                    [2500.0, 0.0]])
+    masks = np.zeros((n_rb, 5), bool).T   # RB-major, as a regulated drop's
+    masks[0, 7] = True
+    masks[1, 20:60] = True
+    masks[3, 1::2] = True
+    masks[4] = True
+    drop = FemtoDrop(pos, dbm_to_mw(np.array([-8.0, -9.0, -10.0, -11.0, -12.0])), masks)
+    monkeypatch.setattr(montecarlo, "drop_faps", lambda ctx, rng, regulation: drop)
+    calls, kernel = [], _kernels.outage_count
+
+    def counting(*args):
+        calls.append(inspect.signature(kernel).bind(*args).arguments)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "outage_count", counting)
+    estimate_ase(params30, n_drops=1, n_trials=50, seed=3)
+    tags = [c for c in calls if c["skip"] >= 0]
+    assert sorted(c["skip"] for c in tags) == [0, 1, 3]
+    for c in tags:
+        own = c["skip"]
+        assert c["masks"] is masks and c["ux"].size == 50
+        np.testing.assert_allclose(np.hypot(c["ux"] - pos[own, 0], c["uy"] - pos[own, 1]),
+                                   params30.r_f, rtol=1e-9)
+        assert masks[own, c["rb"]].all()
 
 
 @pytest.mark.parametrize("tier", ["femto", "macro"])

@@ -465,6 +465,23 @@ class TestRegulationTable:
             assert dec.p_lb_dbm[0] > dec.p_ub_dbm[0]
             assert dec.p_lb_dbm[1] <= dec.p_ub_dbm[1]
 
+    @pytest.mark.parametrize("xi", [10.0, 15.0])
+    def test_an_interior_onset_is_the_first_thinned_distance(self, xi):
+        # fig7's scenarios and N_F = 45: decide thins at the onset and keeps
+        # the window open just inside the solve's tolerance of it
+        interior = 0
+        for nf in (10.0, 30.0, 45.0, 60.0, 100.0):
+            ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(nf, xi_db=xi))
+            table = RegulationTable.build(ctx, d_max=3000.0)
+            onset = table.d_thinned_onset
+            if math.isinf(onset) or onset == table.d_min_deploy:
+                continue
+            interior += 1
+            dec = decide(ctx, [onset, onset - 2.0 * regulation._ONSET_XTOL_M])
+            assert dec.p_lb_dbm[0] > dec.p_ub_dbm[0], (nf, xi)
+            assert dec.p_lb_dbm[1] <= dec.p_ub_dbm[1], (nf, xi)
+        assert interior >= 2
+
     def test_table_is_decide_on_its_grid(self, ctx30, ctx100, ctx60):
         for ctx, d_max in ((ctx30, None), (ctx100, None), (ctx60, 3000.0)):
             table = RegulationTable.build(ctx, d_max=d_max)
