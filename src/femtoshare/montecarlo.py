@@ -21,8 +21,7 @@ draws the (trial, FAP) fading over their interfering link, and
 :func:`_victim_outages`, the only caller of the numpy outage kernel in
 :mod:`femtoshare._kernels`, counts the outages.  A drop without access
 points takes the same path: the kernel's sum over no access points is zero.
-:func:`estimate_ase` builds the edge UEs of all of a drop's tagged
-femtocells in one call, and counts each femtocell's slice of them apart.
+:func:`estimate_ase` draws a drop's tagged femtocells' edge UEs in one call.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
@@ -208,18 +207,17 @@ def _femto_ues(params: NetworkParams, links, ux, uy, d_mbs, p_mw, rb_masks,
                rng: np.random.Generator, rb_prob: float = 1.0) -> _Victims:
     """The :data:`_Victims` of indoor UEs at ``(ux, uy)``, each at the edge of
     a femtocell ``d_mbs`` from the MBS that serves it at power ``p_mw`` (a
-    scalar, or one per UE).  ``rb_masks`` holds the femtocells' RBs, one row
-    each, and the UEs fall to its rows in equal runs; each UE's RB is uniform
-    over its own femtocell's.  With ``rb_prob`` below 1 the one femtocell
-    transmits in each RB with that probability, drawn here."""
+    scalar, or one per UE).  ``rb_masks`` holds one row per femtocell, the UEs
+    falling to its rows in equal runs, each UE's RB uniform over its row's.
+    With ``rb_prob`` below 1 one drawn mask keeps each RB with that probability."""
     n = ux.shape[0]
     sig = _received(rng, links.serving_fap_to_indoor, p_mw, params.r_f, n)
     fixed = _received(rng, links.macro_to_indoor, dbm_to_mw(params.p_m_subcarrier_dbm),
                       d_mbs, n)
     if rb_prob < 1.0:
-        mask = rng.random(rb_masks.size) < rb_prob
+        mask = rng.random(params.n_rb) < rb_prob
         while not mask.any():
-            mask = rng.random(rb_masks.size) < rb_prob
+            mask = rng.random(params.n_rb) < rb_prob
         rb_masks = rb_masks & mask
     # an index into the UE's own femtocell's run of active RBs, drawn from
     # the stream as rng.choice draws one
@@ -424,12 +422,10 @@ def estimate_ase(
     over macro UEs placed uniformly in the cell.  ``op_estimate`` reports
     the pooled macro outage probability.
 
-    The tagged femtocells' edge UEs are drawn in one batch per drop, each
-    at its own femtocell's position, power, distance and RBs, and share one
-    (trial, FAP) fading draw, each femtocell's UEs leaving out its own
-    column.  Each femtocell's term keeps its distribution, so the estimate
-    stays unbiased; the batch only reorders the stream, and the terms of one
-    drop become correlated (common random numbers).
+    The tagged femtocells' edge UEs are drawn in one batch per drop, each at
+    its own femtocell's position, power and RBs, and share one fading draw
+    less their FAP's column.  Each term keeps its distribution, so the estimate
+    stays unbiased; only the stream order changes, and one drop's terms correlate.
     """
     if n_drops < 1 or n_trials < 1:
         raise ValueError("n_drops and n_trials must be >= 1")
@@ -453,10 +449,11 @@ def estimate_ase(
             tagged = rng.choice(in_cell, size=n_tag, replace=False)
             hq, gain = _fading(rng, links.interfering_fap_to_indoor, ws, n_trials, drop)
             # one batch of n_trials edge UEs per tagged femtocell that transmits
-            live = tagged[drop.fap_rb_masks[tagged].any(axis=1)]
+            masks = drop.fap_rb_masks[tagged]
+            keep = masks.any(axis=1)
+            live, masks = tagged[keep], masks[keep]
             if live.size:
                 x, y = drop.fap_positions[live].repeat(n_trials, axis=0).T
-                masks = drop.fap_rb_masks[live]
                 # UEs of one femtocell share their access point's macro path loss
                 batch = _femto_ues(params, links, *_ring(rng, x, y, params.r_f, x.size),
                                    np.maximum(np.hypot(x, y), 1.0),

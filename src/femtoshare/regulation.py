@@ -335,8 +335,12 @@ class RegulationTable:
         elif thinned[0]:
             onset = d_min
         else:
-            # between the grid's last open and first closed point, the root of
-            # eps_f less the femto bound at the window top: of the sign of ub - lb
+            # Between the grid's last open and first closed point, the root of
+            # eps_f less the femto bound at the window top, of the sign of
+            # decide()'s ub - lb: the bound does not rise with power and the
+            # floor is its solve's bracket end above the root, so the floor
+            # passes the top where the bound there passes eps_f; at the cap it
+            # cannot.  The onset is the closed end, so decide() thins there.
             eps_f, cap = ctx.params.eps_f, ctx.params.p_f_max_subcarrier_dbm
 
             def margin(x, i=None):
@@ -345,7 +349,6 @@ class RegulationTable:
 
             k = int(np.argmax(thinned))
             cell = grid[k - 1:k + 1]
-            # the onset is the closed end, so decide() thins there
             onset = float(_bracketed_root(margin, *cell, *margin(cell), grid[k],
                                           _ONSET_XTOL_M)[1][0])
         return cls(d_min, onset, rho, grid, dec.tx_power_dbm)

@@ -52,10 +52,12 @@ class UnitDraws:
     +x axis), unit fading, shadowing at the link's mean (unit at the
     scenario's 0 dB), and the first RB on offer (index 0 of a choice or a
     bounded integer draw).  ``random`` calls return the arrays of
-    ``random``, in order."""
+    ``random``, in order; ``bounds`` records the bounds of each bounded
+    integer draw."""
 
     def __init__(self, random=()):
         self._uniforms = [np.asarray(u, dtype=float) for u in random]
+        self.bounds = []
 
     def random(self, size=None):
         return self._uniforms.pop(0)
@@ -75,6 +77,7 @@ class UnitDraws:
         return np.full(size, a[0])
 
     def integers(self, high):
+        self.bounds.append(np.array(high))
         return np.zeros(np.shape(high), dtype=np.int64)
 
 

@@ -204,6 +204,8 @@ class TestSingleDrawSamplers:
         v = montecarlo._femto_ues(
             p, build_links(p), np.array([500.0]), np.array([0.0]), 500.0,
             float(dbm_to_mw(-7.79)), np.ones((1, p.n_rb), bool), rng, rb_prob=0.5)
+        # the RB index was drawn below 2, over RBs 3 and 7 in that order
+        assert [b.tolist() for b in rng.bounds] == [[2]]
         assert v.rb.tolist() == [3]
         assert montecarlo._victim_outages(v, drop, np.ones((1, 1)), np.empty((1, 1))) == 1
 
