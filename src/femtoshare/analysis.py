@@ -290,10 +290,16 @@ def _macro_bound(ctx: BoundContext, d, power_loc, power_scale):
     a = p.alpha_mf
     power_factor = np.exp(_ln_moment(power_loc, power_scale**2, a))
     dist_factor = (np.asarray(d) ** p.alpha_m / ctx.p_m_mw) ** (2.0 / a)
-    ln_void = -np.minimum(ctx.macro_b_tilde * p.lambda_f * power_factor[..., None]
-                          * dist_factor[..., None], _EXP_CAP)
+    return _macro_void_bound(ctx, ctx.macro_b_tilde * p.lambda_f * power_factor[..., None]
+                             * dist_factor[..., None])
+
+
+def _macro_void_bound(ctx: BoundContext, void_exp):
+    """Macro bound 1 - sum_k (w_k / sqrt(pi)) exp(-b_tilde_k x) from the void
+    exponents ``b_tilde_k * x`` along the last axis; non-decreasing in x."""
     _, weights = ctx.hermite
-    out = 1.0 - np.sum(weights / math.sqrt(math.pi) * np.exp(ln_void), axis=-1)
+    out = 1.0 - np.sum(weights / math.sqrt(math.pi) * np.exp(-np.minimum(void_exp, _EXP_CAP)),
+                       axis=-1)
     return np.clip(out, 0.0, 1.0)   # the weight sum is 1 only to machine precision
 
 

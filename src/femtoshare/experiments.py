@@ -39,6 +39,7 @@ from .regulation import (
 __all__ = ["ExperimentSpec", "Curve", "run", "main", "PRESETS"]
 
 _DEFAULT_OP_GRID = np.arange(400.0, 1001.0, 100.0)
+_FIG4_GRID = np.arange(400.0, 1001.0, 50.0)
 _DEFAULT_NF = (30.0, 100.0)
 _DEFAULT_ASE_NF = (10.0, 30.0, 60.0, 100.0)
 _DEFAULT_XI = (10.0, 15.0)
@@ -245,7 +246,7 @@ def preset_fig3(spec: ExperimentSpec):
 
 def preset_fig4(spec: ExperimentSpec):
     """Power ceiling and exact/approximate power floors versus distance."""
-    grid = np.arange(400.0, 1001.0, 50.0)
+    grid = _FIG4_GRID
     curves, checks = [], []
     for nf in spec.nf_values or _DEFAULT_NF:
         params = spec.params(n_f=nf)
@@ -488,14 +489,17 @@ def _spec_from_args(args) -> ExperimentSpec:
         points += [(sweep[0], v) for v in sweep[1]]
     for name, value in points:
         BoundContext.from_params(spec.params(**{name: value}))
-    # a regulated preset builds its tables out to the drop region, where the
-    # macro ceiling (non-decreasing in d) is the hardest to meet
-    regulated = {"fig5": [{"n_f": nf} for nf in spec.nf_values or _DEFAULT_NF],
-                 "fig7": [{"n_f": nf, "xi_db": xi} for xi in spec.xi_values or _DEFAULT_XI
-                          for nf in spec.nf_values or _DEFAULT_ASE_NF]}
+    # the macro ceiling, if unreachable, is so from some distance out: check
+    # each preset's farthest, fig4's grid top, fig6's r_m, the drop region
+    regulated = {name: [{"n_f": nf} for nf in spec.nf_values or _DEFAULT_NF]
+                 for name in ("fig4", "fig5", "fig6")}
+    regulated["fig7"] = [{"n_f": nf, "xi_db": xi} for xi in spec.xi_values or _DEFAULT_XI
+                         for nf in spec.nf_values or _DEFAULT_ASE_NF]
     for extra in regulated.get(spec.preset, []):
         params = spec.params(**extra)
-        power_ceiling_dbm(BoundContext.from_params(params), DROP_REGION_FACTOR * params.r_m)
+        farthest = {"fig4": _FIG4_GRID[-1], "fig6": params.r_m}.get(
+            spec.preset, DROP_REGION_FACTOR * params.r_m)
+        power_ceiling_dbm(BoundContext.from_params(params), farthest)
     return spec
 
 

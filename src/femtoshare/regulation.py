@@ -6,7 +6,8 @@ from macro interference, and at most a distance-dependent ceiling to
 protect macro users.  When the window closes, the femtocell keeps the
 floor power but transmits in each resource block only with a reduced
 probability chosen so the thinned interferer field still meets the macro
-outage constraint at the cell edge.
+outage constraint at the cell edge.  The ceiling is in closed form: the
+macro bound sees the power spread and ``d`` through one void level only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .analysis import (  # the public bounds stay importable from this module
     _distances,
     _femto_bound,
     _ln_moment,
-    _macro_bound,
+    _macro_void_bound,
     _power_floor_macro_only_dbm,
     femto_outage_lower_bound,  # noqa: F401
     macro_outage_lower_bound,  # noqa: F401
@@ -47,6 +48,9 @@ __all__ = [
 _XTOL_DB = 1e-9
 _RTOL = 4.0 * np.finfo(float).eps
 _MAXITER = 200
+# Tolerance in ln x of the macro void level; the ceiling moves by about
+# 17 dB / sqrt(radicand) per unit of ln x.
+_XTOL_LN = 1e-12
 # Tolerance of the window-to-thinned onset distance, in meters.
 _ONSET_XTOL_M = 1e-6
 # Distances per femto-bound evaluation in the floor solve.  The bound holds
@@ -82,7 +86,7 @@ class RegulationDecision:
     tx_power_dbm: np.ndarray
 
 
-def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
+def _bracketed_root(f, lo, hi, f_lo, f_hi, d=None, xtol=_XTOL_DB):
     """Roots of the non-increasing ``f`` in ``[lo[i], hi[i]]`` by Chandrupatla's
     method (inverse quadratic interpolation with a bisection safeguard; *Adv.
     Eng. Software* 28(3), 1997) in lockstep, each element's iterates
@@ -90,10 +94,11 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
     ``idx``; ``f_lo`` and ``f_hi`` are its values at the ends.  Returns both
     evaluated ends ``(pos, neg)`` of the final brackets, ``f(pos) >= 0 >
     f(neg)`` (0 counts as >= 0), closer than ``xtol + _RTOL·|x|``; where
-    ``f_lo < 0`` or ``f_hi >= 0`` that end is both.  Raises ValueError naming
-    ``d[i]`` where f is NaN, and RuntimeError after ``_MAXITER`` steps."""
-    x1, x2, f1, f2, d = (np.array(a, dtype=float, ndmin=1)
-                         for a in np.broadcast_arrays(lo, hi, f_lo, f_hi, d))
+    ``f_lo < 0`` or ``f_hi >= 0`` that end is both.  Raises ValueError where
+    f is NaN, naming the element's distance ``d[i]`` if given, and
+    RuntimeError after ``_MAXITER`` steps."""
+    x1, x2, f1, f2 = (np.array(a, dtype=float, ndmin=1)
+                      for a in np.broadcast_arrays(lo, hi, f_lo, f_hi))
     lo_far, hi_far = f1 < 0.0, f2 >= 0.0
     x1, x2 = np.where(hi_far & ~lo_far, x2, x1), np.where(lo_far, x1, x2)
     pos, neg = x1.copy(), x2.copy()
@@ -102,7 +107,9 @@ def _bracketed_root(f, lo, hi, f_lo, f_hi, d, xtol=_XTOL_DB):
     x3, f3, fx, t, idx = x2, f2, f1 - f2, np.full(x1.size, 0.5), np.arange(x1.size)
     for step in range(_MAXITER + 1):
         if np.isnan(fx).any():
-            raise ValueError(f"outage bound is NaN at d={d[idx][np.isnan(fx)][0]:.6g} m")
+            at = "" if d is None else \
+                f" at d={np.broadcast_to(d, pos.shape)[idx][np.isnan(fx)][0]:.6g} m"
+            raise ValueError("outage bound is NaN" + at)
         tol = xtol + _RTOL * np.abs(np.where(np.abs(f1) < np.abs(f2), x1, x2))
         dx = np.abs(x2 - x1)
         keep = dx >= tol
@@ -192,58 +199,48 @@ def power_floor_exact_dbm(ctx: BoundContext, d: float) -> float:
     return float(floor[0])
 
 
-def _ceiling_dbm(ctx: BoundContext, d: np.ndarray):
-    """Power ceilings over an array of distances for interferer powers
-    spread up from the edge minimum power, and the mask of the distances
-    where some ceiling on the admissible branch meets the macro constraint.
-    Elsewhere the ceiling reads NaN.  Without femtocells it is infinite."""
+def _void_level_ln(ctx: BoundContext) -> float:
+    """Log of the void level x* where the macro bound reaches ``eps_m``, -inf
+    at ``eps_m`` = 0.  Bracket: 1 - exp(-y) <= y below; above, the bound is
+    at least 1 - exp(-min_k b_tilde_k x)."""
+    eps, b = ctx.params.eps_m, ctx.macro_b_tilde
+    if eps == 0.0:   # only a void field meets a zero target
+        return -math.inf
+
+    def excess(ln_x, i=None):   # non-increasing in ln x
+        return eps - _macro_void_bound(ctx, b * np.exp(ln_x)[..., None])
+
+    _, weights = ctx.hermite
+    ends = np.log([eps / np.sum(weights / math.sqrt(math.pi) * b), -math.log1p(-eps) / b.min()])
+    return float(_bracketed_root(excess, *ends, *excess(ends), xtol=_XTOL_LN)[0][0])
+
+
+def power_ceiling_dbm(ctx: BoundContext, d):
+    """Largest admissible maximum FAP power at range ``d``, elementwise over
+    an array ``d``: interferer powers spread between the fixed edge minimum
+    and this ceiling drive the macro outage bound exactly to its constraint.
+
+    The bound sees ``d`` and the spread only through x = lambda_f E[P^(2/alpha)]
+    (d^alpha_m / P_m)^(2/alpha), which the constraint fixes at x* for every d;
+    ln E[P^(2/alpha)] is quadratic in the ceiling, which is its upper root.
+    The root may fall below the minimum power or exceed the cap; without
+    femtocells it is ``inf``.  Raises :class:`InfeasibleError`, naming the
+    first such distance, where there is no real root (a tail in ``d``).
+    """
+    d = _distances(d)
     p = ctx.params
     if p.lambda_f <= 0:   # no FAP can break the macro constraint
-        return np.full(d.shape, np.inf), np.ones(d.shape, dtype=bool)
-    min_dbm = min_serving_power_dbm(ctx)
-
-    def deficit(max_dbm, idx):   # non-increasing in the ceiling
-        loc, scale = _fap_power_ln(np.minimum(min_dbm, max_dbm), np.maximum(min_dbm, max_dbm))
-        return p.eps_m - _macro_bound(ctx, d[idx], loc, scale)
-
-    # left end of the branch on which the macro bound increases with the
-    # ceiling (the variance term dominates further down)
-    lo = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN + 1e-6
-    at_lo = deficit(np.full(d.shape, lo), slice(None))
-    feasible = ~(at_lo < 0.0)   # a NaN goes on to the root solve, which names it
-    hi = np.full(d.shape, max(min_dbm, p.p_f_max_subcarrier_dbm) + 60.0)
-    at_hi = np.empty(d.shape)
-    grow = np.flatnonzero(feasible)
-    while grow.size:
-        at_hi[grow] = deficit(hi[grow], grow)
-        grow = grow[at_hi[grow] > 0.0]
-        hi[grow] += 60.0
-        feasible[grow[hi[grow] > 1000.0]] = False   # the bound saturates below eps_m
-        grow = grow[hi[grow] <= 1000.0]
-    ceiling = np.full(d.shape, np.nan)
-    solve = np.flatnonzero(feasible)
-    # the end where the macro bound lies under eps_m
-    ceiling[solve] = _bracketed_root(lambda x, i: deficit(x, solve[i]), lo, hi[solve],
-                                     at_lo[solve], at_hi[solve], d[solve])[0]
-    return ceiling, feasible
-
-
-def power_ceiling_dbm(ctx: BoundContext, d: float) -> float:
-    """Largest admissible maximum FAP power at range ``d``: interferer
-    powers spread between the fixed edge minimum and this ceiling drive
-    the macro outage bound exactly to its constraint.
-
-    The root may fall below the minimum power (the spread then only enters
-    through its square); it may also exceed the cap, in which case the cap
-    is not binding; without femtocells it is ``inf``.  Raises
-    :class:`InfeasibleError` when the constraint cannot be met for any
-    ceiling on the admissible branch.
-    """
-    ceiling, feasible = _ceiling_dbm(ctx, np.array([_distances(d)]))
-    if not feasible[0]:
-        raise InfeasibleError(
-            f"macro outage constraint unreachable at d={d:.1f} m for any power ceiling")
-    return float(ceiling[0])
+        return math.inf if np.ndim(d) == 0 else np.full(d.shape, math.inf)
+    a, c, m0 = p.alpha_mf, DB_TO_LN, min_serving_power_dbm(ctx)
+    ln_moment = _void_level_ln(ctx) - math.log(p.lambda_f) \
+        - 2.0 / a * (p.alpha_m * np.log(d) - math.log(ctx.p_m_mw))
+    # ln E[P^(2/a)] = (c/a)(m0 + M) + c^2 (M - m0)^2 / (18 a^2) = ln_moment
+    radicand = 1.0 + 2.0 * (ln_moment - 2.0 * c * m0 / a) / 9.0
+    if (radicand < 0.0).any():
+        raise InfeasibleError("macro outage constraint unreachable at "
+                              f"d={np.extract(radicand < 0.0, d)[0]:.1f} m for any power ceiling")
+    out = m0 + 9.0 * a / c * (np.sqrt(radicand) - 1.0)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def rb_access_probability(ctx: BoundContext) -> float:
@@ -282,11 +279,8 @@ def decide(ctx: BoundContext, d) -> RegulationDecision:
     # In the boundary sliver just above the minimum deployment distance the
     # exact floor peeks over the cap; it is pinned to the cap there.
     lb[deployed] = _floor_exact_dbm(ctx, d[deployed])[0]
-    ceiling, feasible = _ceiling_dbm(ctx, d[deployed])
-    if not feasible.all():
-        raise InfeasibleError("macro outage constraint unreachable at "
-                              f"d={d[deployed][~feasible][0]:.1f} m for any power ceiling")
-    ub[deployed] = np.minimum(ceiling, ctx.params.p_f_max_subcarrier_dbm)
+    ub[deployed] = np.minimum(power_ceiling_dbm(ctx, d[deployed]),
+                              ctx.params.p_f_max_subcarrier_dbm)
     thinned = lb > ub
     prob = np.where(deployed, 1.0, 0.0)
     if thinned.any():
@@ -344,7 +338,7 @@ class RegulationTable:
             eps_f, cap = ctx.params.eps_f, ctx.params.p_f_max_subcarrier_dbm
 
             def margin(x, i=None):
-                top = np.minimum(_ceiling_dbm(ctx, x)[0], cap)
+                top = np.minimum(power_ceiling_dbm(ctx, x), cap)
                 return np.where(top == cap, eps_f, eps_f - _femto_bound(ctx, x, dbm_to_mw(top))[2])
 
             k = int(np.argmax(thinned))

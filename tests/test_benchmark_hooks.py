@@ -44,6 +44,21 @@ def test_table_builds_call_the_wrapped_decide(ctx30, monkeypatch):
     assert len(calls) >= 1
 
 
+def test_decide_calls_the_wrapped_ceiling(ctx30, monkeypatch):
+    # likewise ``regulation.ceiling`` counts only the calls that go through
+    # the module attribute; ``decide`` must find its window top there
+    calls = []
+    ceiling = regulation.power_ceiling_dbm
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ceiling(*args, **kwargs)
+
+    monkeypatch.setattr(regulation, "power_ceiling_dbm", counting)
+    regulation.decide(ctx30, [500.0, 900.0])
+    assert len(calls) >= 1
+
+
 def test_the_tracer_runs_over_the_simulator(params30):
     # ``--trace 1`` reads each drop's FAP count and binds the kernel's
     # ``masks``, ``rb`` and ``skip`` on live calls; both estimates run

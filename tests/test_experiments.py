@@ -136,6 +136,12 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     # the macro ceiling is unreachable from 2518 m out, inside the drop region
     ("fig5", ["--nf", "100"], '{"eps_m": 0.02}'),
     ("fig7", [], '{"eps_m": 0.02}'),
+    # fig4's ceiling curve and fig6's table to r_m, unreachable in a dense
+    # field and, for every field, at a zero macro target
+    ("fig4", ["--nf", "300000"], None),
+    ("fig6", ["--nf", "300000"], None),
+    ("fig4", [], '{"eps_m": 0}'),
+    ("fig6", [], '{"eps_m": 0}'),
     # flags a preset would ignore
     ("fig6", ["--xi", "15"], None),
     ("fig1", ["--xi", "15"], None),
@@ -151,6 +157,8 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
         "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
         "config-not-json", "config-float-count", "config-missing", "seed-negative",
         "sweep-cap-below-edge-minimum", "fig5-table-infeasible", "fig7-table-infeasible",
+        "fig4-ceiling-infeasible", "fig6-table-infeasible", "fig4-eps-m-zero",
+        "fig6-eps-m-zero",
         "fig6-xi", "fig1-xi", "custom-xi", "fig3-nf", "custom-nf", "fig4-sweep", "fig7-sweep",
         "fig3-drops", "fig4-trials", "fig6-drops-trials"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,43 @@ class TestSolversAgainstBrent:
         ref = brentq(excess, lo, p.p_f_max_subcarrier_dbm + 60.0, xtol=1e-12)
         assert power_ceiling_dbm(ctx, d) == pytest.approx(ref, abs=1e-8)
 
+    def test_ceiling_over_drawn_scenarios(self, params30):
+        # scenarios drawn from the scenario sweep's ranges; Brent solves on
+        # the branch right of the moment's vertex, where the bound rises
+        # with the ceiling, and no sign change there means infeasible
+        rng = np.random.default_rng(24)
+        solved = infeasible = scenarios = 0
+        while scenarios < 24:
+            draw = dict(
+                lambda_f=rng.uniform(1.0, 500.0) / (math.pi * params30.r_m**2),
+                xi_db=rng.uniform(0.0, 20.0), p_f_max_total_dbm=rng.uniform(10.0, 30.0),
+                eps_f=rng.uniform(0.01, 0.3), eps_m=rng.uniform(0.01, 0.3),
+                gamma_f_db=rng.uniform(0.0, 15.0), gamma_m_db=rng.uniform(0.0, 15.0),
+                sigma_ff_db=rng.uniform(4.0, 12.0), sigma_mf_db=rng.uniform(4.0, 12.0),
+                alpha_ff=rng.uniform(3.0, 4.5), alpha_mf=rng.uniform(3.0, 4.5))
+            try:
+                ctx = BoundContext.from_params(dataclasses.replace(params30, **draw))
+            except ValueError:   # the cap lies below the edge minimum power
+                continue
+            scenarios += 1
+            p = ctx.params
+            min_dbm = min_serving_power_dbm(ctx)
+            vertex = min_dbm - 9.0 * p.alpha_mf / DB_TO_LN
+            for d in (100.0, 400.0, 1000.0, 3000.0):
+                def excess(max_dbm):
+                    return macro_bound_at(ctx, d, *sorted((min_dbm, max_dbm))) - p.eps_m
+
+                lo, hi = vertex + 1e-6, min_dbm + 300.0
+                if excess(lo) * excess(hi) > 0.0:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleError):
+                        power_ceiling_dbm(ctx, d)
+                    continue
+                solved += 1
+                ref = brentq(excess, lo, hi, xtol=1e-12)
+                assert power_ceiling_dbm(ctx, d) == pytest.approx(ref, abs=1e-8)
+        assert solved and infeasible
+
 
 class TestPowerCeiling:
     def test_defining_equation_round_trip(self, ctx30):
@@ -304,19 +342,44 @@ class TestPowerCeiling:
         assert ub < min_serving_power_dbm(ctx100)
 
     def test_nan_bound_raises_naming_the_distance(self, ctx30, monkeypatch):
-        # a NaN macro bound is not an unreachable constraint
-        bound = regulation._macro_bound
-        monkeypatch.setattr(regulation, "_macro_bound",
+        # a NaN macro bound is not an unreachable constraint; the void level
+        # it is NaN at serves every distance, so the error names none
+        bound = regulation._macro_void_bound
+        monkeypatch.setattr(regulation, "_macro_void_bound",
                             lambda *args: np.full(np.shape(bound(*args)), np.nan))
         for solve in (power_ceiling_dbm, decide):
-            with pytest.raises(ValueError, match="NaN at d=600 m"):
+            with pytest.raises(ValueError, match="outage bound is NaN") as raised:
                 solve(ctx30, 600.0)
+            assert not isinstance(raised.value, InfeasibleError)
 
     def test_infeasible_when_branch_minimum_exceeds_target(self, params30):
         dense = BoundContext.from_params(
             dataclasses.replace(params30, lambda_f=params30.lambda_f * 1e4))
-        with pytest.raises(InfeasibleError):
-            power_ceiling_dbm(dense, params30.r_m)
+        # only a void field meets a zero target: no ceiling at any distance
+        zero_target = BoundContext.from_params(dataclasses.replace(params30, eps_m=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no log of the zero target
+            for ctx in (dense, zero_target):
+                with pytest.raises(InfeasibleError):
+                    power_ceiling_dbm(ctx, params30.r_m)
+            with pytest.raises(InfeasibleError, match="at d=50.0 m"):
+                power_ceiling_dbm(zero_target, np.array([50.0, 400.0]))
+
+    def test_ceiling_is_elementwise(self, ctx30, ctx100):
+        grid = np.geomspace(50.0, 1000.0, 9)
+        for ctx in (ctx30, ctx100):
+            ceilings = power_ceiling_dbm(ctx, grid)
+            assert ceilings.shape == grid.shape
+            scalars = [power_ceiling_dbm(ctx, float(d)) for d in grid]
+            assert all(type(c) is float for c in scalars)
+            assert ceilings.tolist() == scalars
+        assert power_ceiling_dbm(with_intensity(ctx30, 0.0), grid).tolist() == [math.inf] * 9
+        # the first infeasible distance is the one named
+        d_far = np.array([600.0, 7000.0, 8000.0])
+        with pytest.raises(InfeasibleError, match="at d=7000.0 m"):
+            power_ceiling_dbm(ctx100, d_far)
+        with pytest.raises(ValueError, match="distance must be finite and positive"):
+            power_ceiling_dbm(ctx30, np.array([500.0, math.nan]))
 
 
 class TestAccessProbability:
