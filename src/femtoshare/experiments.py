@@ -490,7 +490,8 @@ def _spec_from_args(args) -> ExperimentSpec:
     for name, value in points:
         BoundContext.from_params(spec.params(**{name: value}))
     # the macro ceiling, if unreachable, is so from some distance out: check
-    # each preset's farthest, fig4's grid top, fig6's r_m, the drop region
+    # each preset's farthest, fig4's grid top, fig6's r_m, the drop region;
+    # fig4's exact floor, if unreachable, is so from some distance in
     regulated = {name: [{"n_f": nf} for nf in spec.nf_values or _DEFAULT_NF]
                  for name in ("fig4", "fig5", "fig6")}
     regulated["fig7"] = [{"n_f": nf, "xi_db": xi} for xi in spec.xi_values or _DEFAULT_XI
@@ -499,7 +500,10 @@ def _spec_from_args(args) -> ExperimentSpec:
         params = spec.params(**extra)
         farthest = {"fig4": _FIG4_GRID[-1], "fig6": params.r_m}.get(
             spec.preset, DROP_REGION_FACTOR * params.r_m)
-        power_ceiling_dbm(BoundContext.from_params(params), farthest)
+        ctx = BoundContext.from_params(params)
+        power_ceiling_dbm(ctx, farthest)
+        if spec.preset == "fig4":
+            power_floor_exact_dbm(ctx, float(_FIG4_GRID[0]))
     return spec
 
 

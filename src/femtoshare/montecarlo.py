@@ -25,9 +25,11 @@ points takes the same path: the kernel's sum over no access points is zero.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
 capped by a memory budget for the drops' (trial, FAP) arrays.  Each drop
-draws from its own ``(seed, point, drop)`` stream and the per-drop results
-are combined in drop order, so every estimate is the same, bit for bit,
-on any CPU count.
+draws from its own ``(seed, point_offset, drop)`` stream and the per-drop
+results are combined in drop order, so every estimate is the same, bit for
+bit, on any CPU count.  :func:`estimate_op` shares a drop's field and
+fading draw among all the points of its curve (common random numbers):
+each point's estimate keeps its distribution, and only the points correlate.
 
 A running drop keeps its two (trial, FAP) arrays -- the fading draw and
 the kernel's path gains -- in a :class:`_Workspace`.
@@ -284,7 +286,7 @@ class _Workspace:
 
 
 def _drop_rng(seed: int, point: int, drop_idx: int) -> np.random.Generator:
-    """Independent stream per (sweep point, drop): scheduling-invariant."""
+    """Independent stream per (point offset, drop): scheduling-invariant."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((seed, point, drop_idx))))
 
@@ -356,9 +358,11 @@ def estimate_op(
     range) or ``"macro"`` (outdoor UE).  ``mode="validation"`` draws
     interferer powers i.i.d. from the scenario lognormal; ``"regulated"``
     runs the self-regulation strategy per FAP (and sets the femto victim's
-    serving power the same way).  ``point_offset`` shifts the per-point RNG
-    stream index so grid points dispatched individually reproduce the
-    sequential run bit for bit.
+    serving power the same way).  Every point reads the same drops and
+    fading draws, from the streams of ``(seed, point_offset, drop)``; the
+    first point's victims are drawn first, so a one-point call reproduces
+    the first point of any curve at the same ``seed`` and ``point_offset``
+    bit for bit, and calls at distinct offsets are independent.
     """
     if tier not in ("femto", "macro"):
         raise ValueError("tier must be 'femto' or 'macro'")
@@ -384,28 +388,26 @@ def estimate_op(
         serving = [(ctx.p_serving_mw, 1.0)] * len(distances)
     every_rb = np.ones((1, params.n_rb), dtype=bool)
 
-    # one task per (point, drop) pair, so the pool stays busy across points
-    def drop_outages(i: int, ws: _Workspace) -> int:
-        j, k = divmod(i, n_drops)
-        rng = _drop_rng(seed, point_offset + j, k)
-        drop = drop_faps(ctx, rng, regulation=regulation)
+    def victims(j: int, rng: np.random.Generator) -> _Victims:
         d = float(distances[j])
         if tier == "macro":
-            v = _macro_ues(params, links, d, n_trials, rng)
-        else:
-            p_mw, prob = serving[j]
-            v = _femto_ues(params, links, *_ring(rng, 0.0, 0.0, d, n_trials), d, p_mw,
-                           every_rb, rng, rb_prob=prob)
-        return _victim_outages(v, drop, *_fading(rng, v.link, ws, n_trials, drop))
+            return _macro_ues(params, links, d, n_trials, rng)
+        p_mw, prob = serving[j]
+        return _femto_ues(params, links, *_ring(rng, 0.0, 0.0, d, n_trials), d, p_mw,
+                          every_rb, rng, rb_prob=prob)
 
-    counts = _map_drops(drop_outages, len(distances) * n_drops, n_trials,
-                        params.lambda_f * math.pi * region**2)
-    results = []
-    for j in range(len(distances)):
-        outages = sum(counts[j * n_drops:(j + 1) * n_drops])
-        p, se = _pooled(outages, n_drops * n_trials)
-        results.append(SimResult(p, se, n_drops * n_trials))
-    return results
+    # one task per drop: its field and its one fading draw serve every point
+    def drop_outages(k: int, ws: _Workspace) -> list[int]:
+        rng = _drop_rng(seed, point_offset, k)
+        drop = drop_faps(ctx, rng, regulation=regulation)
+        first = victims(0, rng)
+        hq, gain = _fading(rng, first.link, ws, n_trials, drop)
+        batches = [first] + [victims(j, rng) for j in range(1, len(distances))]
+        return [_victim_outages(v, drop, hq, gain) for v in batches]
+
+    counts = _map_drops(drop_outages, n_drops, n_trials, params.lambda_f * math.pi * region**2)
+    return [SimResult(*_pooled(sum(point), n_drops * n_trials), n_drops * n_trials)
+            for point in zip(*counts)]
 
 
 def estimate_ase(

@@ -163,7 +163,7 @@ def test_criterion_5_regulation_efficacy():
     thinned access point transmits at the floor itself: at N_F = 100 the
     exact femto outage still exceeds the target, by up to 0.0009 (0.10089
     at 514 m).  So this check passes there only through its 2-sigma
-    allowance, and fails on 3 of the seeds 501-506.
+    allowance, and fails on 1 of the seeds 501-506.
     """
     worst = -math.inf
     worst_at = None

@@ -142,6 +142,8 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     ("fig6", ["--nf", "300000"], None),
     ("fig4", [], '{"eps_m": 0}'),
     ("fig6", [], '{"eps_m": 0}'),
+    # fig4's exact floor is unreachable at its grid's first distance, 400 m
+    ("fig4", [], '{"xi_db": 3}'),
     # flags a preset would ignore
     ("fig6", ["--xi", "15"], None),
     ("fig1", ["--xi", "15"], None),
@@ -158,7 +160,7 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
         "config-not-json", "config-float-count", "config-missing", "seed-negative",
         "sweep-cap-below-edge-minimum", "fig5-table-infeasible", "fig7-table-infeasible",
         "fig4-ceiling-infeasible", "fig6-table-infeasible", "fig4-eps-m-zero",
-        "fig6-eps-m-zero",
+        "fig6-eps-m-zero", "fig4-floor-infeasible",
         "fig6-xi", "fig1-xi", "custom-xi", "fig3-nf", "custom-nf", "fig4-sweep", "fig7-sweep",
         "fig3-drops", "fig4-trials", "fig6-drops-trials"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):

@@ -391,15 +391,16 @@ class TestEstimateOp:
         b = estimate_op(params30, "femto", [700.0], n_drops=5, n_trials=200, seed=7)
         assert a == b
 
-    def test_point_offset_reproduces_sequential_run(self, params30):
-        grid = [500.0, 900.0]
-        seq = estimate_op(params30, "macro", grid, n_drops=4, n_trials=100, seed=3)
-        solo = [
-            estimate_op(params30, "macro", [d], n_drops=4, n_trials=100, seed=3,
-                        point_offset=k)[0]
-            for k, d in enumerate(grid)
-        ]
-        assert seq == solo
+    @pytest.mark.parametrize("mode", ["validation", "regulated"])
+    @pytest.mark.parametrize("tier", ["femto", "macro"])
+    def test_a_one_point_call_is_the_first_point_of_any_curve(self, params30, tier, mode):
+        # a drop draws the first point's victims before its fading, so the
+        # points after it leave the first point's draws where they are
+        def first(*grid):
+            return estimate_op(params30, tier, [700.0, *grid], n_drops=4, n_trials=50,
+                               seed=3, mode=mode, point_offset=2)[0]
+
+        assert first() == first(500.0) == first(1000.0, 600.0)
 
     def test_std_err_formula(self, params30):
         res = estimate_op(params30, "macro", [800.0], n_drops=5, n_trials=100, seed=1)[0]
@@ -463,16 +464,17 @@ class TestEstimateAse:
 # (ase_f, ase_m, macro outages) of estimate_ase at N_F = 30 and 100.  They
 # pin the random-stream layout: which draws each drop makes, and in what
 # order.  A change that alters them changes every simulated curve; it must
-# update these values and say why in CHANGES.md.
+# update these values and say why in CHANGES.md.  The 700 m column is each
+# curve's first point, drawn as a one-point call at 700 m would draw it.
 _PINNED_COUNTS = {
-    ("validation", "femto"): [8, 4],
-    ("validation", "macro"): [36, 63],
-    ("regulated", "femto"): [33, 32],
-    ("regulated", "macro"): [37, 28],
+    ("validation", "femto"): [8, 1],
+    ("validation", "macro"): [36, 61],
+    ("regulated", "femto"): [33, 29],
+    ("regulated", "macro"): [37, 35],
 }
 # At N_F = 100 the window is closed at both distances (rho = 0.1454), so
 # the regulated femto victims also draw their serving femtocell's RBs.
-_PINNED_THINNED_FEMTO = [37, 28]
+_PINNED_THINNED_FEMTO = [37, 29]
 _PINNED_ASE = {
     30.0: (3.087122226371871e-05, 5.975800365806534e-05, 7),
     100.0: (1.3075198865510064e-05, 6.139520923773836e-05, 5),
@@ -519,6 +521,18 @@ def _fading_draws(monkeypatch, estimate):
     return draws, skips
 
 
+def _kernel_calls(monkeypatch):
+    """The arguments of every kernel call from now on, by parameter name."""
+    calls, kernel = [], _kernels.outage_count
+
+    def recording(*args):
+        calls.append(inspect.signature(kernel).bind(*args).arguments)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, "outage_count", recording)
+    return calls
+
+
 def test_an_ase_drop_draws_its_fading_twice(monkeypatch, params30):
     # Drop 0 of seed 0 holds 30 in-cell FAPs, so 24 are tagged.  Their edge
     # UEs share one draw over the indoor link; the uniform MUEs draw their own.
@@ -545,13 +559,7 @@ def test_an_ase_batch_keeps_each_victim_with_its_own_femtocell(monkeypatch, para
     masks[4] = True
     drop = FemtoDrop(pos, dbm_to_mw(np.array([-8.0, -9.0, -10.0, -11.0, -12.0])), masks)
     monkeypatch.setattr(montecarlo, "drop_faps", lambda ctx, rng, regulation: drop)
-    calls, kernel = [], _kernels.outage_count
-
-    def counting(*args):
-        calls.append(inspect.signature(kernel).bind(*args).arguments)
-        return kernel(*args)
-
-    monkeypatch.setattr(_kernels, "outage_count", counting)
+    calls = _kernel_calls(monkeypatch)
     estimate_ase(params30, n_drops=1, n_trials=50, seed=3)
     tags = [c for c in calls if c["skip"] >= 0]
     assert sorted(c["skip"] for c in tags) == [0, 1, 3]
@@ -565,10 +573,26 @@ def test_an_ase_batch_keeps_each_victim_with_its_own_femtocell(monkeypatch, para
 
 @pytest.mark.parametrize("tier", ["femto", "macro"])
 def test_an_op_drop_draws_its_fading_once(monkeypatch, params30, tier):
+    # one draw per drop serves both points: one kernel call per (drop, point)
     draws, skips = _fading_draws(monkeypatch, lambda: estimate_op(
         params30, tier, [500.0, 800.0], n_drops=3, n_trials=20, seed=0))
-    assert len(draws) == len(skips) == 6
+    assert len(draws) == 3 and skips == [-1] * 6
     assert all(n_trials == 20 for n_trials, _ in draws)
+
+
+@pytest.mark.parametrize("tier", ["femto", "macro"])
+def test_an_op_drop_hands_every_point_its_one_draw(monkeypatch, params30, tier):
+    # serial drops, so a drop's kernel calls come together, in point order
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    calls = _kernel_calls(monkeypatch)
+    grid = [500.0, 800.0, 1000.0]
+    estimate_op(params30, tier, grid, n_drops=3, n_trials=20, seed=0)
+    assert len(calls) == 9
+    for k in range(3):
+        drop_calls = calls[3 * k:3 * k + 3]
+        assert all(c["hq"] is drop_calls[0]["hq"] for c in drop_calls)
+        for d, c in zip(grid, drop_calls):
+            np.testing.assert_allclose(np.hypot(c["ux"], c["uy"]), d, rtol=1e-12)
 
 
 _ESTIMATES = """
