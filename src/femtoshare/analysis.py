@@ -36,6 +36,7 @@ __all__ = [
 # Exponent x such that exp(x) overflows float64; used to cap dominant
 # interferer counts whose void probability is already exactly 0.
 _EXP_CAP = 700.0
+_TINY = np.finfo(float).tiny   # smallest positive normal float64
 # Nodes of each of the bounds' Gauss-Laguerre and Gauss-Hermite rules.
 _QUADRATURE_ORDER = 12
 # A context's derived values: set when it is built, not arguments.
@@ -227,38 +228,37 @@ def _femto_composite_term(ctx: BoundContext, d, p_serving_mw):
 
     Evaluated in log space; where the quadrature node puts the signal
     sample at or below the macro-interference threshold the bracketed
-    void-probability factor is taken as 1 (its limit from above).
+    void-probability factor is taken as 1 (its limit from above).  One product
+    sums the Laguerre axis, before the Hermite axis takes its ``exp(-chi)``.
     """
-    d, p_serving_mw = np.broadcast_arrays(d, p_serving_mw)
     p = ctx.params
     if p.lambda_f == 0.0:
-        return np.zeros(d.shape)
+        return np.zeros(np.broadcast_shapes(np.shape(d), np.shape(p_serving_mw)))
     sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
-    # axes (..., Laguerre node, Hermite node)
-    mu_s = _rx_ln_loc(sig, p_serving_mw, p.r_f)[..., None, None]
+    # chi along axes (..., Hermite node); the sum's terms along (..., Laguerre, Hermite)
+    mu_s = _rx_ln_loc(sig, p_serving_mw, p.r_f)[..., None]
     sc_s = sig.composite.scale
-    mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None, None]
+    mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None]
     sc_i = intf.composite.scale
     ln_gamma = math.log(p.gamma_f)
     rate = _dominant_interferer_rate(ctx.links.interfering_fap_to_indoor, ctx.fap_power,
                                      p.gamma_f) * p.lambda_f
 
-    a_n, w_n = (x[:, None] for x in ctx.laguerre)
-    b_m, v_m = (x[None, :] for x in ctx.hermite)
+    a_n, w_n = ctx.laguerre
+    b_m, v_m = ctx.hermite
 
     ln_z = math.sqrt(2.0) * sc_i * b_m + mu_i + ln_gamma
     chi = (ln_z - mu_s) ** 2 / (2.0 * sc_s**2)
-    ln_w = mu_s + np.sqrt(2.0 * a_n + 2.0 * chi) * sc_s
-    diff = ln_z - ln_w
-    signal_above = diff < 0.0
-    # log(signal - threshold), defined only where the base is positive
-    ln_base = np.where(signal_above,
-                       ln_w + np.log1p(-np.exp(np.where(signal_above, diff, -1.0))),
-                       0.0)
+    root = np.sqrt(a_n[:, None] + chi[..., None, :])
+    ln_w = mu_s[..., None] + math.sqrt(2.0) * sc_s * root
+    diff = ln_z[..., None, :] - ln_w
+    # log(signal - threshold); the clamp keeps it finite where the signal
+    # is not above the threshold, where the bracket is 1 anyway
+    ln_base = ln_w + np.log(-np.expm1(np.minimum(diff, -_TINY)))
     exponent = np.minimum(math.log(rate) - (2.0 / p.alpha_ff) * ln_base, _EXP_CAP)
-    bracket = np.where(signal_above, -np.expm1(-np.exp(exponent)), 1.0)
-    dens = np.exp(-chi) / (2.0 * math.pi * np.sqrt(a_n + chi))
-    return np.sum(w_n * v_m * bracket * dens, axis=(-2, -1))
+    bracket = np.where(diff < 0.0, -np.expm1(-np.exp(exponent)), 1.0)
+    laguerre_sum = w_n @ (bracket / root)
+    return np.sum(v_m * np.exp(-chi) * laguerre_sum, axis=-1) / (2.0 * math.pi)
 
 
 def _femto_bound(ctx: BoundContext, d, p_serving_mw):

@@ -13,14 +13,14 @@ circle; this is an unbiased estimator of the same quantity with far less
 drop-geometry variance than a fixed victim.  :func:`_ring` makes every
 uniform-azimuth placement: the victims, and the access points of a drop.
 
-A drop meets its victims in three steps.  A builder draws a batch of
-victims -- :func:`_femto_ues` for indoor UEs served by a femtocell,
-:func:`_macro_ues` for outdoor UEs served by the MBS -- with their
-positions, faded signal, fixed interference and RBs.  The caller then
-draws the (trial, FAP) fading over their interfering link, and
-:func:`_victim_outages`, the only caller of the numpy outage kernel in
-:mod:`femtoshare._kernels`, counts the outages.  A drop without access
-points takes the same path: the kernel's sum over no access points is zero.
+A drop meets its victims in three steps.  A builder draws a batch of victims
+-- :func:`_femto_ues` for indoor UEs served by a femtocell, :func:`_macro_ues`
+for outdoor UEs served by the MBS -- with their positions, faded signal, fixed
+interference and RBs.  The caller then draws the (trial, FAP) fading over
+their interfering link, and :func:`_victim_outages`, the only caller of the
+numpy outage kernel in :mod:`femtoshare._kernels`, counts the outages from the
+kernel operands the drop builds once.  A drop without access points takes the
+same path: the kernel's sum over no access points is zero.
 :func:`estimate_ase` draws a drop's tagged femtocells' edge UEs in one call.
 
 Drops run on a pool of threads as wide as the CPUs this process may use,
@@ -48,6 +48,7 @@ import mmap
 import os
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,6 +93,21 @@ class FemtoDrop:
 
     def distances_to_mbs(self) -> np.ndarray:
         return np.hypot(self.fap_positions[:, 0], self.fap_positions[:, 1])
+
+    # cached_property stores into the instance __dict__, which a frozen dataclass allows
+    @cached_property
+    def kernel_operands(self) -> tuple[np.ndarray, bool]:
+        """The outage kernel's ``fap_rows`` and ``every_rb``, built once per drop."""
+        px, py = self.fap_positions.T
+        return (np.stack([px, py, px * px + py * py, np.ones_like(px)]),
+                bool(self.fap_rb_masks.all()))
+
+    def p_coef(self, link) -> np.ndarray:
+        """Each FAP's mean power at 1 m over ``link``, built once per link."""
+        cache = self.__dict__.setdefault("_p_coefs", {})
+        if link not in cache:
+            cache[link] = link.mean_rx_mw(self.fap_powers_mw, 1.0)
+        return cache[link]
 
 
 @dataclass(frozen=True)
@@ -198,11 +214,10 @@ def _victim_outages(v: _Victims, drop: FemtoDrop, hq, gain, skip: int = -1) -> i
     the fading from FAP ``i`` to victim ``t``; FAP ``skip`` (the victims'
     own serving FAP) is left out of the sum.  A victim with no interference
     at all is not in outage.  ``gain`` is overwritten; ``hq`` is not."""
-    # per-FAP mean power at 1 m; the kernel applies fading and distance
-    p_coef = v.link.mean_rx_mw(drop.fap_powers_mw, 1.0)
     return int(_kernels.outage_count(
-        v.sig, v.fixed, hq, p_coef, *drop.fap_positions.T, v.ux, v.uy, v.link.alpha / 2.0,
-        drop.fap_rb_masks, v.rb, v.gamma, MIN_INTERFERER_DISTANCE_M**2, skip, gain))
+        v.sig, v.fixed, hq, drop.p_coef(v.link), *drop.kernel_operands, v.ux, v.uy,
+        v.link.alpha / 2.0, drop.fap_rb_masks, v.rb, v.gamma, MIN_INTERFERER_DISTANCE_M**2,
+        skip, gain))
 
 
 def _femto_ues(params: NetworkParams, links, ux, uy, d_mbs, p_mw, rb_masks,

@@ -228,19 +228,24 @@ def power_ceiling_dbm(ctx: BoundContext, d):
     first such distance, where there is no real root (a tail in ``d``).
     """
     d = _distances(d)
-    p = ctx.params
-    if p.lambda_f <= 0:   # no FAP can break the macro constraint
+    if ctx.params.lambda_f <= 0:   # no FAP can break the macro constraint
         return math.inf if np.ndim(d) == 0 else np.full(d.shape, math.inf)
+    out = _ceiling_dbm(ctx, _void_level_ln(ctx), d)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _ceiling_dbm(ctx: BoundContext, ln_x: float, d):
+    """:func:`power_ceiling_dbm` at ``d`` from the log ``ln_x`` of the void level; lambda_f > 0."""
+    p = ctx.params
     a, c, m0 = p.alpha_mf, DB_TO_LN, min_serving_power_dbm(ctx)
-    ln_moment = _void_level_ln(ctx) - math.log(p.lambda_f) \
+    ln_moment = ln_x - math.log(p.lambda_f) \
         - 2.0 / a * (p.alpha_m * np.log(d) - math.log(ctx.p_m_mw))
     # ln E[P^(2/a)] = (c/a)(m0 + M) + c^2 (M - m0)^2 / (18 a^2) = ln_moment
     radicand = 1.0 + 2.0 * (ln_moment - 2.0 * c * m0 / a) / 9.0
     if (radicand < 0.0).any():
         raise InfeasibleError("macro outage constraint unreachable at "
                               f"d={np.extract(radicand < 0.0, d)[0]:.1f} m for any power ceiling")
-    out = m0 + 9.0 * a / c * (np.sqrt(radicand) - 1.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return m0 + 9.0 * a / c * (np.sqrt(radicand) - 1.0)
 
 
 def rb_access_probability(ctx: BoundContext) -> float:
@@ -336,9 +341,10 @@ class RegulationTable:
             # passes the top where the bound there passes eps_f; at the cap it
             # cannot.  The onset is the closed end, so decide() thins there.
             eps_f, cap = ctx.params.eps_f, ctx.params.p_f_max_subcarrier_dbm
+            ln_x = _void_level_ln(ctx)
 
             def margin(x, i=None):
-                top = np.minimum(power_ceiling_dbm(ctx, x), cap)
+                top = np.minimum(_ceiling_dbm(ctx, ln_x, x), cap)
                 return np.where(top == cap, eps_f, eps_f - _femto_bound(ctx, x, dbm_to_mw(top))[2])
 
             k = int(np.argmax(thinned))

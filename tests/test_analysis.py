@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from femtoshare import analysis
 from femtoshare.analysis import (
+    _EXP_CAP,
     BoundContext,
     _dominant_interferer_rate,
     _femto_bound,
+    _femto_composite_term,
+    _rx_ln_loc,
     femto_outage_lower_bound,
     macro_outage_lower_bound,
 )
@@ -290,3 +295,101 @@ def test_printed_form_matches_coefficient_form(ctx30):
         alt = 1.0 - float(np.sum(v_m / math.sqrt(math.pi)
                                  * np.exp(-kappa * p.lambda_f * np.exp(expo))))
         assert macro_outage_lower_bound(ctx30, d) == pytest.approx(alt, rel=1e-12, abs=1e-15)
+
+
+def _composite_reference(ctx, d, p_serving_mw):
+    """The composite term as one dense (..., Laguerre, Hermite) sum, in the
+    form it had before the sum was reordered; also whether each node's
+    signal lies above its threshold, and each node's unclamped exponent."""
+    d, p_serving_mw = np.broadcast_arrays(d, p_serving_mw)
+    p = ctx.params
+    if p.lambda_f == 0.0:
+        return np.zeros(d.shape), None, None
+    sig, intf = ctx.links.serving_fap_to_indoor, ctx.links.macro_to_indoor
+    # axes (..., Laguerre node, Hermite node)
+    mu_s = _rx_ln_loc(sig, p_serving_mw, p.r_f)[..., None, None]
+    sc_s = sig.composite.scale
+    mu_i = _rx_ln_loc(intf, ctx.p_m_mw, d)[..., None, None]
+    sc_i = intf.composite.scale
+    ln_gamma = math.log(p.gamma_f)
+    rate = _dominant_interferer_rate(ctx.links.interfering_fap_to_indoor, ctx.fap_power,
+                                     p.gamma_f) * p.lambda_f
+
+    a_n, w_n = (x[:, None] for x in ctx.laguerre)
+    b_m, v_m = (x[None, :] for x in ctx.hermite)
+
+    ln_z = math.sqrt(2.0) * sc_i * b_m + mu_i + ln_gamma
+    chi = (ln_z - mu_s) ** 2 / (2.0 * sc_s**2)
+    ln_w = mu_s + np.sqrt(2.0 * a_n + 2.0 * chi) * sc_s
+    diff = ln_z - ln_w
+    signal_above = diff < 0.0
+    # log(signal - threshold), defined only where the base is positive
+    ln_base = np.where(signal_above,
+                       ln_w + np.log1p(-np.exp(np.where(signal_above, diff, -1.0))),
+                       0.0)
+    exponent = np.minimum(math.log(rate) - (2.0 / p.alpha_ff) * ln_base, _EXP_CAP)
+    bracket = np.where(signal_above, -np.expm1(-np.exp(exponent)), 1.0)
+    dens = np.exp(-chi) / (2.0 * math.pi * np.sqrt(a_n + chi))
+    value = np.sum(w_n * v_m * bracket * dens, axis=(-2, -1))
+    return value, signal_above, math.log(rate) - (2.0 / p.alpha_ff) * ln_base
+
+
+def _assert_composite_matches_reference(ctx, d, p_serving_mw):
+    got = _femto_composite_term(ctx, d, p_serving_mw)
+    ref, above, exponent = _composite_reference(ctx, d, p_serving_mw)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    return above, exponent
+
+
+# ROADMAP item 14's scenario ranges; every scenario field the composite term reads
+_SCENARIO = st.fixed_dictionaries({
+    "n_f": st.floats(0.0, 500.0),
+    "xi_db": st.floats(0.0, 20.0),
+    "p_f_max_total_dbm": st.floats(10.0, 30.0),
+    "eps_f": st.floats(0.01, 0.3),
+    "gamma_f_db": st.floats(0.0, 15.0),
+    "gamma_m_db": st.floats(0.0, 15.0),
+    "sigma_ff_db": st.floats(4.0, 12.0),
+    "sigma_mf_db": st.floats(4.0, 12.0),
+    "alpha_ff": st.floats(3.0, 4.5),
+    "alpha_mf": st.floats(3.0, 4.5),
+})
+
+
+@given(_SCENARIO,
+       st.lists(st.floats(1.0, 5000.0), min_size=1, max_size=6),
+       st.floats(-300.0, 3.0))
+@example({"n_f": 0.0, "xi_db": 10.0, "p_f_max_total_dbm": 23.0, "eps_f": 0.1,
+          "gamma_f_db": 10.0, "gamma_m_db": 5.0, "sigma_ff_db": 12.0, "sigma_mf_db": 10.0,
+          "alpha_ff": 4.0, "alpha_mf": 4.0}, [400.0, 1000.0], -0.8)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_composite_sum_against_the_dense_sum(scenario, d, log10_p_serving_mw):
+    scenario = dict(scenario)
+    try:
+        ctx = BoundContext.from_params(
+            NetworkParams.from_expected_fap_count(scenario.pop("n_f"), **scenario))
+    except ValueError:   # a cap below the edge minimum power: no context
+        return
+    _assert_composite_matches_reference(ctx, np.array(d), 10.0**log10_p_serving_mw)
+    # a serving power per distance, and the scalar form
+    _assert_composite_matches_reference(ctx, np.array(d), np.geomspace(1e-9, 1.0, len(d)))
+    _assert_composite_matches_reference(ctx, d[0], 10.0**log10_p_serving_mw)
+
+
+def test_composite_sum_at_the_threshold_and_the_cap(monkeypatch):
+    # ln w >= ln z at every node, with equality only at a zero Laguerre node,
+    # so only rounding puts a signal at or below its threshold: with zero
+    # nodes and a faint signal, some points have no node above it
+    rule = analysis.make_rule
+    monkeypatch.setattr(analysis, "make_rule", lambda kind, order: (
+        (np.zeros(order), rule(kind, order)[1]) if kind == "laguerre" else rule(kind, order)))
+    params = NetworkParams.from_expected_fap_count(30.0, alpha_ff=3.0)
+    above, _ = _assert_composite_matches_reference(
+        BoundContext.from_params(params), np.geomspace(1.0, 5000.0, 60), 1e-10)
+    assert not above.any(axis=(-2, -1)).all()
+    # a field so dense that nodes above their threshold meet the cap
+    monkeypatch.undo()
+    dense = BoundContext.from_params(dataclasses.replace(params, lambda_f=1e300))
+    above, exponent = _assert_composite_matches_reference(dense, np.array([400.0, 3000.0]), 1e-3)
+    assert (above & (exponent > _EXP_CAP)).any()

@@ -76,3 +76,20 @@ def test_the_tracer_runs_over_the_simulator(params30):
         assert metrics["montecarlo.faps_per_drop"] > 0
         assert metrics["kernels.pairs"] > 0
         assert 0 < metrics["kernels.active_ratio"] <= 1
+
+
+def test_the_tracer_counts_every_kernel_pair(params30, monkeypatch):
+    # an estimate_op drop meets n_trials victims at each point of its curve
+    faps, drop_faps = [], montecarlo.drop_faps
+
+    def recording(*args, **kwargs):
+        drop = drop_faps(*args, **kwargs)
+        faps.append(drop.n_faps)
+        return drop
+
+    monkeypatch.setattr(montecarlo, "drop_faps", recording)
+    grid, n_trials = [500.0, 800.0, 1000.0], 10
+    with tracing.Tracer() as tracer:
+        montecarlo.estimate_op(params30, "femto", grid, n_drops=3, n_trials=n_trials, seed=1)
+    assert len(faps) == 3
+    assert tracer.metrics()["kernels.pairs"] == len(grid) * n_trials * sum(faps) > 0

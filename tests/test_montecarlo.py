@@ -275,11 +275,19 @@ class TestKernels:
                 rb.astype(np.int64), 3.0, 1.0, skip, np.empty_like(hq))
 
     @staticmethod
-    def _count(args):
+    def _kernel_args(args):
+        """``args`` of the reference with ``px, py`` replaced by the drop's
+        operands, which a drop builds from ``px``, ``py`` and ``masks``."""
+        px, py, masks = args[4], args[5], args[9]
+        drop = FemtoDrop(np.column_stack([px, py]), np.ones(px.size), masks)
+        return [*args[:4], *drop.kernel_operands, *args[6:]]
+
+    @classmethod
+    def _count(cls, args):
         # NaN in the scratch array reaches the count unless the kernel
         # writes every element of it before it reads it
         args[-1].fill(np.nan)
-        return _kernels.outage_count(*args)
+        return _kernels.outage_count(*cls._kernel_args(args))
 
     @staticmethod
     def _reference_interference(sig, fixed, hq, p_coef, px, py, ux, uy, ha, masks,
@@ -345,6 +353,20 @@ class TestKernels:
             silent[3] = np.zeros_like(args[3])
             assert count > self._reference_count(*silent)
             assert self._count(args) == count
+
+    @pytest.mark.parametrize("skip", [-1, 2])
+    def test_an_all_active_call_allocates_nothing_fap_sized(self, skip):
+        # With the drop's operands built, the path gains in ``gain`` are the
+        # call's only FAP-sized array; a (4, FAP) float64 stack would take 160 KB.
+        args = self._kernel_args(self._case(5, 2.0, n_trials=16, n_fap=5000, skip=skip,
+                                            all_active=True))
+        tracemalloc.start()
+        try:
+            _kernels.outage_count(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000, peak
 
     def _near_miss_case(self, half_alpha, on_fap):
         # Access points 2.5-3 km from the origin and victims within 3 m of

@@ -365,6 +365,14 @@ class TestPowerCeiling:
             with pytest.raises(InfeasibleError, match="at d=50.0 m"):
                 power_ceiling_dbm(zero_target, np.array([50.0, 400.0]))
 
+    def test_closed_form_at_a_solved_void_level_is_the_ceiling(self):
+        # the onset search's window top is the ceiling, bit for bit
+        ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(30.0, xi_db=10.0))
+        d = np.linspace(min_deployment_distance(ctx), 3.0 * ctx.params.r_m, 3001)
+        np.testing.assert_array_equal(
+            regulation._ceiling_dbm(ctx, regulation._void_level_ln(ctx), d),
+            power_ceiling_dbm(ctx, d))
+
     def test_ceiling_is_elementwise(self, ctx30, ctx100):
         grid = np.geomspace(50.0, 1000.0, 9)
         for ctx in (ctx30, ctx100):
@@ -527,6 +535,17 @@ class TestRegulationTable:
             dec = decide(ctx, [onset, onset * (1.0 - 1e-6)])
             assert dec.p_lb_dbm[0] > dec.p_ub_dbm[0]
             assert dec.p_lb_dbm[1] <= dec.p_ub_dbm[1]
+
+    def test_an_onset_search_solves_the_void_level_once(self, monkeypatch):
+        # decide's ceiling and rb_access_probability solve it once each, the
+        # onset search once more; one solve per search step made 7 here
+        ctx = BoundContext.from_params(NetworkParams.from_expected_fap_count(30.0, xi_db=10.0))
+        solves, solve = [], regulation._void_level_ln
+        monkeypatch.setattr(regulation, "_void_level_ln",
+                            lambda c: solves.append(c) or solve(c))
+        table = RegulationTable.build(ctx, d_max=3.0 * ctx.params.r_m)
+        assert table.d_min_deploy < table.d_thinned_onset < math.inf
+        assert len(solves) <= 3
 
     @pytest.mark.parametrize("xi", [10.0, 15.0])
     def test_an_interior_onset_is_the_first_thinned_distance(self, xi):
