@@ -25,7 +25,7 @@ from .analysis import (
     macro_outage_lower_bound,
 )
 from .model import COUNT_FIELDS, PARAM_FIELDS, NetworkParams, load_scenario
-from .montecarlo import DROP_REGION_FACTOR, estimate_ase, estimate_op
+from .montecarlo import estimate_ase, estimate_op
 from .regulation import (
     RegulationTable,
     min_deployment_distance,
@@ -39,7 +39,6 @@ from .regulation import (
 __all__ = ["ExperimentSpec", "Curve", "run", "main", "PRESETS"]
 
 _DEFAULT_OP_GRID = np.arange(400.0, 1001.0, 100.0)
-_FIG4_GRID = np.arange(400.0, 1001.0, 50.0)
 _DEFAULT_NF = (30.0, 100.0)
 _DEFAULT_ASE_NF = (10.0, 30.0, 60.0, 100.0)
 _DEFAULT_XI = (10.0, 15.0)
@@ -246,7 +245,7 @@ def preset_fig3(spec: ExperimentSpec):
 
 def preset_fig4(spec: ExperimentSpec):
     """Power ceiling and exact/approximate power floors versus distance."""
-    grid = _FIG4_GRID
+    grid = np.arange(400.0, 1001.0, 50.0)
     curves, checks = [], []
     for nf in spec.nf_values or _DEFAULT_NF:
         params = spec.params(n_f=nf)
@@ -442,8 +441,10 @@ def _sweep_value(name: str, text: str):
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The run's spec, with every scenario it sets checked up front; raises
-    ValueError (OSError for an unreadable config) on bad input."""
+    """The run's spec from the parsed flags; raises ValueError (OSError for
+    an unreadable config) on bad input.  Only the flags and the config are
+    checked here: a scenario with no admissible power is refused by the
+    library, when the preset reaches it."""
     sims = ("fig1", "fig2", "fig5", "fig7", "custom")   # the simulated presets
     for flag, value, takers in (("--xi", args.xi, ("fig3", "fig7")),
                                 ("--nf", args.nf, set(PRESETS) - {"fig3", "custom"}),
@@ -464,13 +465,11 @@ def _spec_from_args(args) -> ExperimentSpec:
                      if getattr(loaded, name) != getattr(base, name)}
     sweep = None
     if args.sweep is not None:
-        if len(args.sweep) < 2:
-            raise ValueError("--sweep needs a field name and at least one value")
         name = args.sweep[0].lower()
         if name not in PARAM_FIELDS and name != "n_f":
             raise ValueError(f"unknown sweep field {args.sweep[0]!r}")
         sweep = (name, tuple(_sweep_value(name, v) for v in args.sweep[1:]))
-    spec = ExperimentSpec(
+    return ExperimentSpec(
         preset=args.preset,
         overrides=overrides,
         sweep=sweep,
@@ -481,40 +480,16 @@ def _spec_from_args(args) -> ExperimentSpec:
         nf_values=tuple(args.nf) if args.nf else None,
         xi_values=tuple(args.xi) if args.xi else None,
     )
-    # each value given on the command line must make a valid scenario, with
-    # a bound context: that rejects a cap below the cell-edge minimum power
-    points = [("n_f", v) for v in spec.nf_values or ()]
-    points += [("xi_db", v) for v in spec.xi_values or ()]
-    if sweep is not None:
-        points += [(sweep[0], v) for v in sweep[1]]
-    for name, value in points:
-        BoundContext.from_params(spec.params(**{name: value}))
-    # the macro ceiling, if unreachable, is so from some distance out: check
-    # each preset's farthest, fig4's grid top, fig6's r_m, the drop region;
-    # fig4's exact floor, if unreachable, is so from some distance in
-    regulated = {name: [{"n_f": nf} for nf in spec.nf_values or _DEFAULT_NF]
-                 for name in ("fig4", "fig5", "fig6")}
-    regulated["fig7"] = [{"n_f": nf, "xi_db": xi} for xi in spec.xi_values or _DEFAULT_XI
-                         for nf in spec.nf_values or _DEFAULT_ASE_NF]
-    for extra in regulated.get(spec.preset, []):
-        params = spec.params(**extra)
-        farthest = {"fig4": _FIG4_GRID[-1], "fig6": params.r_m}.get(
-            spec.preset, DROP_REGION_FACTOR * params.r_m)
-        ctx = BoundContext.from_params(params)
-        power_ceiling_dbm(ctx, farthest)
-        if spec.preset == "fig4":
-            power_floor_exact_dbm(ctx, float(_FIG4_GRID[0]))
-    return spec
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = _spec_from_args(args)
+        summary = run(spec)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = run(spec)
     for c in summary["checks"]:
         state = "pass" if c["passed"] else "FAIL"
         print(f"[{state}] {c['name']}: {c['detail']}")

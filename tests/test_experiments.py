@@ -155,6 +155,11 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
     ("fig3", ["--drops", "5"], None),
     ("fig4", ["--trials", "5"], None),
     ("fig6", ["--drops", "5", "--trials", "5"], None),
+    # refused only when the preset reaches the bad scenario: the second N_F,
+    # the second sweep value
+    ("fig5", ["--nf", "30", "--nf", "100", "--drops", "2", "--trials", "10"],
+     '{"eps_m": 0.02}'),
+    ("custom", ["--sweep", "r_f", "30", "999", "--drops", "2", "--trials", "10"], None),
 ], ids=["nf-negative", "nf-nan", "xi-nan", "sweep-inconsistent-rb", "sweep-fractional-rb",
         "sweep-not-a-number", "sweep-decreasing", "config-eps", "config-list",
         "config-not-json", "config-float-count", "config-missing", "seed-negative",
@@ -162,19 +167,44 @@ def test_cli_rejects_non_positive_scale(tmp_path, capsys, flag, count):
         "fig4-ceiling-infeasible", "fig6-table-infeasible", "fig4-eps-m-zero",
         "fig6-eps-m-zero", "fig4-floor-infeasible",
         "fig6-xi", "fig1-xi", "custom-xi", "fig3-nf", "custom-nf", "fig4-sweep", "fig7-sweep",
-        "fig3-drops", "fig4-trials", "fig6-drops-trials"])
+        "fig3-drops", "fig4-trials", "fig6-drops-trials",
+        "fig5-second-nf-infeasible", "custom-second-sweep-value-infeasible"])
 def test_cli_rejects_bad_input_in_one_line(tmp_path, capsys, preset, args, config):
-    # every bad input is caught before a preset runs: exit 2, one line on
-    # stderr, no traceback and no output directory
+    # every bad input, whether refused before the preset starts or when it
+    # reaches the bad scenario, ends in exit 2, one line on stderr, nothing
+    # on stdout, no traceback, and no output written
     if config is not None:
         cfg = tmp_path / "scenario.json"
         cfg.write_text(config)
         args = args + ["--config", str(cfg)]
     out = tmp_path / "out"
     assert main(["run", preset, *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_runs_a_fig3_config_whose_cap_fig3_never_uses(tmp_path):
+    # fig3 sweeps its own caps, 10-23 dBm, so a scenario file's 5 dBm cap,
+    # below the cell-edge minimum power, never reaches a bound context;
+    # --xi must not change that
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text('{"p_f_max_total_dbm": 5}')
+    for out, extra in (("all", []), ("xi10", ["--xi", "10"])):
+        assert main(["run", "fig3", "--config", str(cfg), *extra,
+                     "--out", str(tmp_path / out)]) == 0
+    name = "fig3_dmin_xi10.csv"
+    assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "xi10" / name).read_bytes()
+
+
+def test_cli_refuses_an_out_path_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "fig3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    assert out.read_text() == ""
 
 
 def test_cli_sweeps_a_count_field_as_integers(tmp_path):
